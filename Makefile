@@ -2,9 +2,9 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test race lint bench bench-json bench-smoke experiments scale-smoke race-soak determinism cache-smoke
+.PHONY: check fmt vet build test race lint bench bench-json bench-smoke experiments examples scale-smoke race-soak determinism cache-smoke
 
-check: fmt vet lint build race experiments bench-smoke scale-smoke determinism cache-smoke
+check: fmt vet lint build race experiments examples bench-smoke scale-smoke determinism cache-smoke
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \
@@ -36,8 +36,11 @@ build:
 test:
 	go test ./...
 
+# -cpu 1,4 runs every test at GOMAXPROCS 1 and 4, so goroutines
+# interleave on a 1-CPU host and run truly in parallel on a multi-core
+# one.
 race:
-	go test -race ./...
+	go test -race -cpu 1,4 ./...
 
 bench:
 	go test -bench . -benchtime 1x ./...
@@ -69,6 +72,12 @@ bench-smoke:
 experiments:
 	go run ./cmd/ecobench -run E2,E3,E4,E10,A1 -parallel 0 -timeout 60s > /dev/null
 	go run ./cmd/ecobench -run R -quick -parallel 0 -timeout 60s > /dev/null
+
+# Smoke-run every example program: each must exit cleanly.
+examples:
+	@for d in examples/*/; do \
+		go run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done; echo "examples: all ran cleanly"
 
 # Flyweight weak-scaling gate: one 131k-worker machine must construct
 # and serve a sparse burst under a hard heap budget.
@@ -102,4 +111,4 @@ cache-smoke:
 # Longer -race pass: soak + determinism property sweeps with the race
 # detector on, for CI's slow lane.
 race-soak:
-	go test -race -run 'TestSoak|TestKernelDeterminism|TestScaleSmoke' -count 2 ./...
+	go test -race -cpu 1,4 -run 'TestSoak|TestKernelDeterminism|TestScaleSmoke' -count 2 ./...

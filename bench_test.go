@@ -161,7 +161,7 @@ func BenchmarkHLSSynthesizeMatMul(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelInterpreterVecAdd(b *testing.B) {
+func BenchmarkKernelRunVecAdd(b *testing.B) {
 	w, err := ecoscale.KernelByName("vecadd")
 	if err != nil {
 		b.Fatal(err)

@@ -11,7 +11,10 @@
 // the shard-scaling determinism checksums (when both runs executed the
 // same workload size) and the cache_warm hit/miss sanity check; the
 // cache_warm cold/warm speedup is wall-clock and follows the same
-// host-matching rule.
+// host-matching rule. The hls_run series (the compiled HLS executor on
+// every library kernel) gates its RunStats checksums and allocations per
+// run always, and its ns/op only between equivalent hosts whose runs
+// had the same procs.
 //
 // -wall=false drops the time-based comparisons even on an equivalent
 // host: CI compares a -quick run against the full committed baseline, and
@@ -59,6 +62,15 @@ type cacheWarmEntry struct {
 	Speedup float64 `json:"speedup_cold_over_warm"`
 }
 
+type hlsRunEntry struct {
+	Kernel      string  `json:"kernel"`
+	N           int     `json:"n"`
+	Procs       int     `json:"procs"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	Checksum    string  `json:"checksum"`
+}
+
 type report struct {
 	Schema       string             `json:"schema"`
 	GoVersion    string             `json:"go_version"`
@@ -68,6 +80,7 @@ type report struct {
 	Speedup      map[string]float64 `json:"speedup_events_per_sec"`
 	ShardScaling []shardEntry       `json:"shard_scaling"`
 	CacheWarm    *cacheWarmEntry    `json:"cache_warm"`
+	HLSRun       []hlsRunEntry      `json:"hls_run"`
 }
 
 func load(path string) (*report, error) {
@@ -209,6 +222,30 @@ func main() {
 		}
 	} else if oldRep.CacheWarm != nil {
 		fail("cache_warm series missing from new report")
+	}
+
+	// hls_run: the RunStats checksum at a given size and the allocations
+	// per run are deterministic; ns/op follows the host-matching rule.
+	newHLS := map[string]hlsRunEntry{}
+	for _, e := range newRep.HLSRun {
+		newHLS[e.Kernel] = e
+	}
+	for _, o := range oldRep.HLSRun {
+		n, ok := newHLS[o.Kernel]
+		if !ok {
+			fail("hls_run %s missing from new report", o.Kernel)
+			continue
+		}
+		if o.N == n.N && o.Checksum != n.Checksum {
+			fail("hls_run %s: RunStats checksum %s -> %s", o.Kernel, o.Checksum, n.Checksum)
+		}
+		if n.AllocsPerOp > o.AllocsPerOp*(1+*tol)+0.05 {
+			fail("hls_run %s: allocs/op %.2f -> %.2f", o.Kernel, o.AllocsPerOp, n.AllocsPerOp)
+		}
+		if wallOK && o.Procs == n.Procs && o.N == n.N && n.NsPerOp > o.NsPerOp*(1+*tol) {
+			fail("hls_run %s: ns/op %.0f -> %.0f (>%.0f%% regression)",
+				o.Kernel, o.NsPerOp, n.NsPerOp, *tol*100)
+		}
 	}
 
 	if failures > 0 {

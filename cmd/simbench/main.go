@@ -7,7 +7,9 @@
 // same host. It also times a sequential E-suite subset end-to-end so
 // kernel-level wins can be sanity-checked against whole-experiment wall
 // time, and times the same subset cold-vs-warm against the
-// content-addressed result cache (the cache_warm series).
+// content-addressed result cache (the cache_warm series). The hls_run
+// series times the compiled HLS executor (hls.Run) on every library
+// kernel.
 //
 // Usage:
 //
@@ -25,9 +27,11 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"log"
 	"os"
 	"runtime"
@@ -43,6 +47,7 @@ import (
 	"ecoscale/internal/sim"
 	"ecoscale/internal/sim/heapref"
 	"ecoscale/internal/trace"
+	"ecoscale/internal/workload"
 )
 
 // benchResult is one (workload, engine) measurement.
@@ -85,6 +90,66 @@ type report struct {
 	// benchcmp treats wall-clock fields as incomparable across hosts
 	// with different procs.
 	ShardScaling []shardScalingResult `json:"shard_scaling,omitempty"`
+	// HLSRun times hls.Run on each library kernel at its
+	// workload.BenchN size. The checksum of the run's RunStats and the
+	// allocations per run are properties of the code, compared on any
+	// host; ns/op is compared only between runs with matching procs.
+	HLSRun []hlsRunResult `json:"hls_run,omitempty"`
+}
+
+// hlsRunResult is one library kernel on the compiled HLS executor.
+type hlsRunResult struct {
+	Kernel      string  `json:"kernel"`
+	N           int     `json:"n"`
+	Procs       int     `json:"procs"`
+	Runs        int     `json:"runs"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	Checksum    string  `json:"checksum"` // FNV-1a of the RunStats
+}
+
+// hlsRunSeries measures hls.Run on every library kernel: each round
+// repeats the run on the same inputs until minWall has passed, and the
+// fastest round is kept.
+func hlsRunSeries(rounds int, minWall time.Duration) ([]hlsRunResult, error) {
+	var out []hlsRunResult
+	for _, w := range workload.Registry() {
+		k := w.Kernel()
+		n := workload.BenchN(w)
+		args, _ := w.Make(n, sim.NewRNG(1))
+		st, err := hls.Run(k, args) // compiles k; the timed runs reuse it
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
+		}
+		h := fnv.New64a()
+		binary.Write(h, binary.LittleEndian, []uint64{st.Ops, st.Flops, st.Loads, st.Stores})
+		best := hlsRunResult{Kernel: w.Name, N: n, Procs: runtime.GOMAXPROCS(0),
+			Checksum: fmt.Sprintf("%016x", h.Sum64())}
+		for r := 0; r < rounds; r++ {
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			runs := 0
+			t0 := time.Now()
+			for runs == 0 || time.Since(t0) < minWall {
+				if _, err := hls.Run(k, args); err != nil {
+					return nil, fmt.Errorf("%s: %w", w.Name, err)
+				}
+				runs++
+			}
+			wall := time.Since(t0)
+			runtime.ReadMemStats(&m1)
+			ns := float64(wall.Nanoseconds()) / float64(runs)
+			if r == 0 || ns < best.NsPerOp {
+				best.Runs, best.NsPerOp = runs, ns
+				best.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(runs)
+			}
+		}
+		fmt.Fprintf(os.Stderr, "hls_run %-10s n=%-5d %12.0f ns/op  %.2f allocs/op\n",
+			w.Name, n, best.NsPerOp, best.AllocsPerOp)
+		out = append(out, best)
+	}
+	return out, nil
 }
 
 // shardScalingResult is one point of the shard-scaling series.
@@ -556,6 +621,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%-22s %8.1f ns/ev  %12.0f ev/s  %.3f allocs/ev\n",
 			p.workload, cur.NsPerEvent, cur.EventsPerSec, cur.AllocsPerEvent)
 	}
+
+	hlsWall := 200 * time.Millisecond
+	if *quick {
+		hlsWall = 5 * time.Millisecond
+	}
+	hr, err := hlsRunSeries(*rounds, hlsWall)
+	if err != nil {
+		log.Fatalf("hls_run: %v", err)
+	}
+	rep.HLSRun = hr
 
 	rep.Footprint = footprintSeries(*quick)
 	rep.ShardScaling = shardScalingSeries(*quick, *rounds)

@@ -31,8 +31,8 @@ func main() {
 	}
 	dir := ecoscale.Directives{Unroll: 8, MemPorts: 8, Share: 1, Pipeline: true}
 
-	// CPU reference cost for one batch, from the interpreter's measured
-	// op mix.
+	// CPU reference cost for one batch, from the op mix the software
+	// executor measures.
 	rng := sim.NewRNG(3)
 	args, _ := w.Make(pathsPerCall, rng)
 	stats, err := hls.Run(w.Kernel(), args)

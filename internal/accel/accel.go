@@ -34,7 +34,7 @@ type CallSpec struct {
 	Reads  []Span
 	Writes []Span
 	// Exec applies the call's data-plane effect (typically by running
-	// the kernel interpreter against buffers peeked from the space). It
+	// the compiled kernel against buffers peeked from the space). It
 	// runs at completion time; nil for timing-only calls.
 	Exec func() error
 	// Ops is the datapath operation count for energy accounting; when 0

@@ -111,8 +111,8 @@ func ParamsMap(m map[string]any) string {
 }
 
 // Counter names the store records into its metrics registry. The
-// store serializes its own registry access; callers may share the
-// registry with other serialized writers (the runner does).
+// store updates these series under its own lock; the registry itself
+// is safe to share (the runner shares it).
 const (
 	MetricHits      = "cache.hits"          // labeled tier=mem|disk
 	MetricMisses    = "cache.misses"        // key absent from every tier

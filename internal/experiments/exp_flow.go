@@ -35,7 +35,7 @@ func scenE14() runner.Scenario {
 					Label: w.Name,
 					Run: func(context.Context) (runner.Row, error) {
 						// Streaming kernels get a size where hardware pays off; the
-						// O(N²)/O(N³) kernels stay small to keep interpretation cheap.
+						// O(N²)/O(N³) kernels stay small to keep software runs cheap.
 						n := 4096
 						if w.Name == "matmul" || w.Name == "stencil2d" || w.Name == "nbody" {
 							n = 16

@@ -596,32 +596,25 @@ func exprChainLatency(te *typeEnv, e Expr) int {
 	}
 }
 
-// constEval evaluates an expression over scalar bindings only (no
-// buffers); used for trip counts.
-func constEval(e Expr, bindings map[string]float64) (float64, error) {
-	env := &env{scalars: bindings, buffers: map[string][]float64{}}
-	return env.eval(e)
-}
-
 // tripCount derives a loop's iteration count from its init/cond/post
-// under the given scalar bindings. Supported shapes: i = a; i < b (or
-// <=); i = i + c / i++ style posts.
-func tripCount(f *For, bindings map[string]float64) (int64, error) {
-	init, err := constEval(f.Init.Value, bindings)
+// under the scalar bindings in f (a frame of m). Supported shapes:
+// i = a; i < b (or <=); i = i + c / i++ style posts.
+func (m *scalarModel) tripCount(loop *For, f *frame) (int64, error) {
+	init, err := m.exprs[loop.Init.Value].eval(f)
 	if err != nil {
 		return 0, fmt.Errorf("hls: loop init: %w", err)
 	}
-	cond, ok := f.Cond.(*Binary)
-	if !ok || !readsVar(f.Cond, f.Init.Target) {
+	cond, ok := loop.Cond.(*Binary)
+	if !ok || !readsVar(loop.Cond, loop.Init.Target) {
 		return 0, fmt.Errorf("hls: unsupported loop condition")
 	}
-	bound, err := constEval(cond.R, bindings)
+	bound, err := m.exprs[cond.R].eval(f)
 	if err != nil {
 		return 0, fmt.Errorf("hls: loop bound: %w", err)
 	}
 	step := 1.0
-	if post, ok := f.Post.Value.(*Binary); ok {
-		s, err := constEval(post.R, bindings)
+	if post, ok := loop.Post.Value.(*Binary); ok {
+		s, err := m.exprs[post.R].eval(f)
 		if err == nil {
 			step = s
 			if post.Op == "-" {

@@ -175,7 +175,8 @@ func TestTripCountNegativeAndFloatBounds(t *testing.T) {
 	// Negative trip counts clamp to zero.
 	k := MustParse(`kernel f(global float* A, int N) { for (i = 5; i < N; i++) { A[0] = i; } }`)
 	loop := k.Body[0].(*For)
-	got, err := tripCount(loop, map[string]float64{"N": 2})
+	m := k.scalars()
+	got, err := m.tripCount(loop, m.frame(map[string]float64{"N": 2}))
 	if err != nil || got != 0 {
 		t.Errorf("negative range trip = %d, %v", got, err)
 	}

@@ -10,14 +10,15 @@
 // partitioning and duplication, starting from a non-hardware specific
 // OpenCL model."
 //
-// The same AST is executed by a reference interpreter so that software
-// and hardware runs of a kernel produce identical results (verified by
-// the E14 end-to-end experiment).
+// The same AST is compiled once per kernel into a compiled executor
+// (Run) so that software and hardware runs of a kernel produce identical
+// results (verified by the E14 end-to-end experiment).
 package hls
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Type is a scalar element type.
@@ -56,6 +57,12 @@ type Kernel struct {
 	Params []Param
 	Body   []Stmt
 	Source string
+
+	once sync.Once // builds prog on first use
+	prog *program
+
+	scalarOnce sync.Once // builds scalar on first use
+	scalar     *scalarModel
 }
 
 func (k *Kernel) String() string {

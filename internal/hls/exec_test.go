@@ -1,6 +1,7 @@
 package hls
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -193,7 +194,7 @@ func TestRunInfiniteLoopGuard(t *testing.T) {
 	}
 }
 
-// Property: vecadd through the interpreter equals Go-native addition for
+// Property: vecadd through the executor equals Go-native addition for
 // arbitrary inputs — the reference-semantics check.
 func TestInterpreterMatchesNativeProperty(t *testing.T) {
 	k := MustParse(srcVecAdd)
@@ -225,5 +226,46 @@ func TestInterpreterMatchesNativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScalarModelMatchesOracle pins the cycle model's scalar
+// evaluation to the oracle: same values, same error texts.
+func TestScalarModelMatchesOracle(t *testing.T) {
+	bind := map[string]float64{"N": 7, "M": 2.5, "Z": 0}
+	for _, src := range []string{
+		"N", "N - 1", "N / 2 + M", "N % 3", "N / Z", "N % Z", "q + 1", "A[0]",
+		"q + A[0]", "A[q]", "sqrt(0 - N)", "log(Z)", "min(N, M) * max(N, M)",
+		"N > 2 && M < 3", "Z || q", "!N + -M", "floor(M) + abs(0 - N) + exp(Z)",
+	} {
+		k := MustParse("kernel f(global float* A, int N) { for (i = 0; i < " + src + "; i++) { A[0] = i; } }")
+		m := k.scalars()
+		e := k.Body[0].(*For).Cond.(*Binary).R
+		got, err := m.exprs[e].eval(m.frame(bind))
+		want, werr := oracleConstEval(e, bind)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("%s: %v, %v; oracle %v, %v", src, got, err, want, werr)
+		}
+	}
+}
+
+// TestCycleModelFollowsBoundAssignments checks that a loop bound fed
+// through a chain of assignments is evaluated.
+func TestCycleModelFollowsBoundAssignments(t *testing.T) {
+	k := MustParse(`
+kernel f(global float* A, int N) {
+    int m = N / 2;
+    int k = m + 1;
+    float acc = A[0] * 2.0;
+    for (i = 0; i < k; i++) { A[i] = acc; }
+}`)
+	im, err := Synthesize(k, DefaultDirectives())
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _ := im.Cycles(map[string]float64{"N": 8})
+	large, _ := im.Cycles(map[string]float64{"N": 800})
+	if large <= small {
+		t.Errorf("cycles at N=800 (%d) should exceed N=8 (%d): the bound k = N/2+1 was not followed", large, small)
 	}
 }

@@ -244,18 +244,18 @@ func (im *Impl) Depth() int {
 // Cycles estimates one invocation's cycle count given scalar bindings
 // for the kernel's parameters (e.g. {"N": 256}).
 func (im *Impl) Cycles(bindings map[string]float64) (int64, error) {
-	b := map[string]float64{}
-	for k, v := range bindings {
-		b[k] = v
-	}
-	cycles, err := im.blockCycles(im.Kernel.Body, b)
+	m := im.Kernel.scalars()
+	cycles, err := im.blockCycles(m, im.Kernel.Body, m.frame(bindings))
 	if err != nil {
 		return 0, err
 	}
 	return cycles + im.CallOverheadCycles, nil
 }
 
-func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, error) {
+// blockCycles estimates a block's cycles. f holds the scalar bindings
+// (a frame of m), which the block's assignments and outer loops update
+// on the way, for the trip counts of the loops that follow.
+func (im *Impl) blockCycles(m *scalarModel, stmts []Stmt, f *frame) (int64, error) {
 	var total int64
 	for _, s := range stmts {
 		switch st := s.(type) {
@@ -270,16 +270,14 @@ func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, e
 			if st.Index == nil {
 				// Track scalar values needed by inner trip counts
 				// (loop bounds depending on earlier assignments).
-				if v, err := constEval(st.Value, bindings); err == nil {
-					bindings[st.Target] = v
-				}
+				m.exprs[st.Value].bind(f)
 			}
 		case *If:
-			t, err := im.blockCycles(st.Then, bindings)
+			t, err := im.blockCycles(m, st.Then, f)
 			if err != nil {
 				return 0, err
 			}
-			e, err := im.blockCycles(st.Else, bindings)
+			e, err := im.blockCycles(m, st.Else, f)
 			if err != nil {
 				return 0, err
 			}
@@ -288,7 +286,7 @@ func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, e
 			}
 			total += t + 1
 		case *For:
-			trips, err := tripCount(st, bindings)
+			trips, err := m.tripCount(st, f)
 			if err != nil {
 				return 0, err
 			}
@@ -309,11 +307,8 @@ func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, e
 			// Outer loop: body cycles per iteration + loop control. The
 			// loop variable ranges; bind it to the first iteration for
 			// inner bound evaluation (rectangular nests).
-			init, ierr := constEval(st.Init.Value, bindings)
-			if ierr == nil {
-				bindings[st.Init.Target] = init
-			}
-			body, err := im.blockCycles(st.Body, bindings)
+			m.exprs[st.Init.Value].bind(f)
+			body, err := im.blockCycles(m, st.Body, f)
 			if err != nil {
 				return 0, err
 			}

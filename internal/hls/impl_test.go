@@ -231,7 +231,8 @@ func TestTripCountShapes(t *testing.T) {
 	for _, c := range cases {
 		k := MustParse(c.src)
 		loop := k.Body[0].(*For)
-		got, err := tripCount(loop, map[string]float64{"N": c.n})
+		m := k.scalars()
+		got, err := m.tripCount(loop, m.frame(map[string]float64{"N": c.n}))
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
 			continue
@@ -245,7 +246,8 @@ func TestTripCountShapes(t *testing.T) {
 func TestTripCountErrors(t *testing.T) {
 	k := MustParse(`kernel f(global float* A, int N) { for (i = 0; i < M; i++) { A[0] = i; } }`)
 	loop := k.Body[0].(*For)
-	if _, err := tripCount(loop, map[string]float64{"N": 4}); err == nil {
+	m := k.scalars()
+	if _, err := m.tripCount(loop, m.frame(map[string]float64{"N": 4})); err == nil {
 		t.Error("unbound loop bound should error")
 	}
 }

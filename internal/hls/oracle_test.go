@@ -1,22 +1,14 @@
 package hls
 
+// This file preserves the original tree-walking interpreter as a test
+// oracle: the differential tests run it against the compiled executor
+// (Run) and require identical outputs, RunStats and error strings. It
+// must stay semantically frozen; do not optimize it.
+
 import (
 	"fmt"
 	"math"
 )
-
-// Value is a kernel argument: a scalar or a buffer. All numeric values
-// are float64 internally; int-typed contexts truncate.
-type Value struct {
-	Scalar float64
-	Buf    []float64
-}
-
-// S makes a scalar argument.
-func S(v float64) Value { return Value{Scalar: v} }
-
-// B makes a buffer argument (shared, mutated in place).
-func B(buf []float64) Value { return Value{Buf: buf} }
 
 // env is an execution environment.
 type env struct {
@@ -28,18 +20,8 @@ type env struct {
 	flops   uint64
 }
 
-// RunStats reports the dynamic operation mix of one kernel execution,
-// consumed by the runtime's execution-time and energy models (§4.2).
-type RunStats struct {
-	Ops    uint64 // all arithmetic/compare ops
-	Flops  uint64 // floating-point subset
-	Loads  uint64 // buffer reads
-	Stores uint64 // buffer writes
-}
-
-// Run executes the kernel with positional args, mutating buffer args in
-// place, and returns the dynamic op statistics.
-func Run(k *Kernel, args []Value) (RunStats, error) {
+// oracleRun is Run as a direct interpretation of the AST over name maps.
+func oracleRun(k *Kernel, args []Value) (RunStats, error) {
 	if len(args) != len(k.Params) {
 		return RunStats{}, fmt.Errorf("hls: kernel %s takes %d args, got %d", k.Name, len(k.Params), len(args))
 	}
@@ -72,10 +54,6 @@ func (e *env) execBlock(stmts []Stmt) error {
 	}
 	return nil
 }
-
-// maxIterations defends against non-terminating loops; a variable so
-// tests can tighten it.
-var maxIterations = 1 << 28
 
 func (e *env) exec(s Stmt) error {
 	switch st := s.(type) {
@@ -159,13 +137,6 @@ func (e *env) evalIndex(buf string, idx Expr) (int, error) {
 	return i, nil
 }
 
-func boolTo(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 func (e *env) eval(x Expr) (float64, error) {
 	switch ex := x.(type) {
 	case *Num:
@@ -193,7 +164,7 @@ func (e *env) eval(x Expr) (float64, error) {
 		}
 		e.ops++
 		if ex.Op == "!" {
-			return boolTo(v == 0), nil
+			return oracleBool(v == 0), nil
 		}
 		return -v, nil
 	case *Binary:
@@ -212,7 +183,7 @@ func (e *env) eval(x Expr) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			return boolTo(r != 0), nil
+			return oracleBool(r != 0), nil
 		case "||":
 			e.ops++
 			if l != 0 {
@@ -222,7 +193,7 @@ func (e *env) eval(x Expr) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			return boolTo(r != 0), nil
+			return oracleBool(r != 0), nil
 		}
 		r, err := e.eval(ex.R)
 		if err != nil {
@@ -251,17 +222,17 @@ func (e *env) eval(x Expr) (float64, error) {
 			}
 			return float64(int64(l) % ri), nil
 		case "<":
-			return boolTo(l < r), nil
+			return oracleBool(l < r), nil
 		case "<=":
-			return boolTo(l <= r), nil
+			return oracleBool(l <= r), nil
 		case ">":
-			return boolTo(l > r), nil
+			return oracleBool(l > r), nil
 		case ">=":
-			return boolTo(l >= r), nil
+			return oracleBool(l >= r), nil
 		case "==":
-			return boolTo(l == r), nil
+			return oracleBool(l == r), nil
 		case "!=":
-			return boolTo(l != r), nil
+			return oracleBool(l != r), nil
 		default:
 			return 0, fmt.Errorf("hls: unknown operator %q", ex.Op)
 		}
@@ -303,4 +274,28 @@ func (e *env) eval(x Expr) (float64, error) {
 	default:
 		return 0, fmt.Errorf("hls: unknown expression %T", x)
 	}
+}
+
+func oracleBool(v bool) float64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// oracleConstEval is constEval over the oracle interpreter.
+func oracleConstEval(e Expr, bindings map[string]float64) (float64, error) {
+	env := &env{scalars: bindings, buffers: map[string][]float64{}}
+	return env.eval(e)
+}
+
+// OracleRun exposes oracleRun to the external differential tests.
+var OracleRun = oracleRun
+
+// SetMaxIterations tightens the loop cap for a test and returns the
+// function that restores it.
+func SetMaxIterations(n int) (restore func()) {
+	old := maxIterations
+	maxIterations = n
+	return func() { maxIterations = old }
 }

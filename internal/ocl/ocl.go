@@ -393,8 +393,8 @@ func (q *Queue) buildTask(k *hls.Kernel, args []Arg) (*rts.Task, error) {
 		}
 		return nil
 	}
-	// Estimate the software op mix cheaply from a reference
-	// interpretation — run once here (host-side compile cost, not
+	// Estimate the software op mix cheaply from one software run —
+	// run once here (host-side compile cost, not
 	// simulated time).
 	stats, err := estimateStats(k, bufs, bindings)
 	if err != nil {
@@ -407,7 +407,7 @@ func (q *Queue) buildTask(k *hls.Kernel, args []Arg) (*rts.Task, error) {
 	}, nil
 }
 
-// estimateStats interprets the kernel against scratch copies of the
+// estimateStats runs the kernel against scratch copies of the
 // buffers to count its dynamic op mix.
 func estimateStats(k *hls.Kernel, bufs []*Buffer, bindings map[string]float64) (hls.RunStats, error) {
 	vals := make([]hls.Value, len(k.Params))

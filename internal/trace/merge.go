@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Cross-registry merging. A sharded machine keeps one Registry per shard
 // so counters and histograms never cross goroutines during a run; after
@@ -42,7 +45,17 @@ func (h *Histogram) MergeHistogram(other *Histogram) {
 // in r adopts src's last value (time-weighted gauge history does not
 // merge and is dropped). src is not modified.
 func (r *Registry) MergeFrom(src *Registry) {
-	for k, c := range src.counters {
+	// Copy src's series under its lock, then merge under r's, so the
+	// two locks are never held together.
+	src.mu.Lock()
+	from := &Registry{
+		counters: maps.Clone(src.counters), stats: maps.Clone(src.stats),
+		hists: maps.Clone(src.hists), gauges: maps.Clone(src.gauges),
+	}
+	src.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, c := range from.counters {
 		d, ok := r.counters[k]
 		if !ok {
 			d = &Counter{Name: c.Name, Labels: c.Labels}
@@ -50,7 +63,7 @@ func (r *Registry) MergeFrom(src *Registry) {
 		}
 		d.Value += c.Value
 	}
-	for k, s := range src.stats {
+	for k, s := range from.stats {
 		d, ok := r.stats[k]
 		if !ok {
 			d = NewStat(s.Name)
@@ -59,7 +72,7 @@ func (r *Registry) MergeFrom(src *Registry) {
 		}
 		d.MergeStat(s)
 	}
-	for k, h := range src.hists {
+	for k, h := range from.hists {
 		d, ok := r.hists[k]
 		if !ok {
 			d = NewHistogram(h.Name, h.lo, h.hi, len(h.buckets))
@@ -68,7 +81,7 @@ func (r *Registry) MergeFrom(src *Registry) {
 		}
 		d.MergeHistogram(h)
 	}
-	for k, g := range src.gauges {
+	for k, g := range from.gauges {
 		if !g.Seen() {
 			continue
 		}

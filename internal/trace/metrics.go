@@ -138,21 +138,23 @@ type MetricsSnapshot struct {
 
 // Snapshot captures every metric in the registry, sorted by key.
 func (r *Registry) Snapshot() MetricsSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var snap MetricsSnapshot
-	for _, k := range r.CounterNames() {
+	for _, k := range sortedKeys(r.counters) {
 		c := r.counters[k]
 		snap.Counters = append(snap.Counters, CounterSnapshot{
 			Name: c.Name, Labels: labelMap(c.Labels), Value: c.Value,
 		})
 	}
-	for _, k := range r.GaugeNames() {
+	for _, k := range sortedKeys(r.gauges) {
 		g := r.gauges[k]
 		snap.Gauges = append(snap.Gauges, GaugeSnapshot{
 			Name: g.Name, Labels: labelMap(g.Labels),
 			Value: finite(g.Value()), TimeWeightedMean: finite(g.TimeWeightedMean()),
 		})
 	}
-	for _, k := range r.StatNames() {
+	for _, k := range sortedKeys(r.stats) {
 		s := r.stats[k]
 		snap.Stats = append(snap.Stats, StatSnapshot{
 			Name: s.Name, Labels: labelMap(s.Labels), Count: s.Count(),
@@ -160,7 +162,7 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 			Min: finite(s.Min()), Max: finite(s.Max()),
 		})
 	}
-	for _, k := range r.HistogramNames() {
+	for _, k := range sortedKeys(r.hists) {
 		h := r.hists[k]
 		hs := HistogramSnapshot{
 			Name: h.Name, Labels: labelMap(h.Labels), Count: h.Count(),
@@ -202,14 +204,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	seen := map[string]bool{}
-	for _, k := range r.CounterNames() {
+	for _, k := range sortedKeys(r.counters) {
 		c := r.counters[k]
 		n := PromName(c.Name)
 		emitHeader(seen, n, "counter")
 		fmt.Fprintf(bw, "%s%s %d\n", n, promLabels(c.Labels), c.Value)
 	}
-	for _, k := range r.GaugeNames() {
+	for _, k := range sortedKeys(r.gauges) {
 		g := r.gauges[k]
 		n := PromName(g.Name)
 		emitHeader(seen, n, "gauge")
@@ -217,7 +221,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		emitHeader(seen, n+"_twa", "gauge")
 		fmt.Fprintf(bw, "%s%s %g\n", n+"_twa", promLabels(g.Labels), finite(g.TimeWeightedMean()))
 	}
-	for _, k := range r.StatNames() {
+	for _, k := range sortedKeys(r.stats) {
 		s := r.stats[k]
 		base := PromName(s.Name)
 		emitHeader(seen, base+"_count", "counter")
@@ -234,7 +238,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "%s%s %g\n", base+g.suffix, promLabels(s.Labels), g.v)
 		}
 	}
-	for _, k := range r.HistogramNames() {
+	for _, k := range sortedKeys(r.hists) {
 		h := r.hists[k]
 		base := PromName(h.Name)
 		emitHeader(seen, base, "histogram")

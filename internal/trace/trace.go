@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Label is one key=value dimension attached to a metric (worker, kernel,
@@ -401,7 +402,13 @@ func (t *Table) CSV() string {
 // the components of one simulated machine. Metrics may carry labels
 // (worker, kernel, policy, …); each distinct (name, label set) is its
 // own time series, keyed by the rendered labelKey.
+//
+// The registry synchronises itself: creating, finding and iterating
+// series is safe from any goroutine. A series' value is not: whoever
+// updates one series from several goroutines serialises those updates
+// (the runner and the result store each do, under their own locks).
 type Registry struct {
+	mu       sync.Mutex
 	counters map[string]*Counter
 	stats    map[string]*Stat
 	hists    map[string]*Histogram
@@ -425,6 +432,8 @@ func (r *Registry) Counter(name string) *Counter { return r.CounterL(name) }
 // first use.
 func (r *Registry) CounterL(name string, labels ...Label) *Counter {
 	k := labelKey(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c, ok := r.counters[k]
 	if !ok {
 		c = &Counter{Name: name, Labels: labels}
@@ -436,6 +445,8 @@ func (r *Registry) CounterL(name string, labels ...Label) *Counter {
 // CounterTotal sums the values of every counter series with the given
 // name across all label sets, without creating anything.
 func (r *Registry) CounterTotal(name string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var total uint64
 	for _, c := range r.counters {
 		if c.Name == name {
@@ -452,6 +463,8 @@ func (r *Registry) Gauge(name string) *Gauge { return r.GaugeL(name) }
 // use.
 func (r *Registry) GaugeL(name string, labels ...Label) *Gauge {
 	k := labelKey(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	g, ok := r.gauges[k]
 	if !ok {
 		g = &Gauge{Name: name, Labels: labels}
@@ -462,12 +475,23 @@ func (r *Registry) GaugeL(name string, labels ...Label) *Gauge {
 
 // FindGauge returns the gauge stored under key (name plus rendered
 // labels), or nil — a lookup that never creates.
-func (r *Registry) FindGauge(key string) *Gauge { return r.gauges[key] }
+func (r *Registry) FindGauge(key string) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.gauges[key]
+}
 
 // GaugeNames returns all gauge keys (name plus labels), sorted.
 func (r *Registry) GaugeNames() []string {
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return sortedKeys(r.gauges)
+}
+
+// sortedKeys returns a series map's keys, sorted; the caller holds r.mu.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -481,6 +505,8 @@ func (r *Registry) Stat(name string) *Stat { return r.StatL(name) }
 // use.
 func (r *Registry) StatL(name string, labels ...Label) *Stat {
 	k := labelKey(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s, ok := r.stats[k]
 	if !ok {
 		s = NewStat(name)
@@ -501,6 +527,8 @@ func (r *Registry) Histogram(name string, lo, hi float64, n int) *Histogram {
 // consulted at creation.
 func (r *Registry) HistogramL(name string, lo, hi float64, n int, labels ...Label) *Histogram {
 	k := labelKey(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	h, ok := r.hists[k]
 	if !ok {
 		h = NewHistogram(name, lo, hi, n)
@@ -512,42 +540,39 @@ func (r *Registry) HistogramL(name string, lo, hi float64, n int, labels ...Labe
 
 // FindHistogram returns the histogram stored under key (name plus
 // rendered labels), or nil — a lookup that never creates.
-func (r *Registry) FindHistogram(key string) *Histogram { return r.hists[key] }
+func (r *Registry) FindHistogram(key string) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hists[key]
+}
 
 // CounterNames returns all counter keys (name plus labels), sorted.
 func (r *Registry) CounterNames() []string {
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return sortedKeys(r.counters)
 }
 
 // StatNames returns all stat keys, sorted.
 func (r *Registry) StatNames() []string {
-	names := make([]string, 0, len(r.stats))
-	for n := range r.stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return sortedKeys(r.stats)
 }
 
 // HistogramNames returns all histogram keys, sorted.
 func (r *Registry) HistogramNames() []string {
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return sortedKeys(r.hists)
 }
 
 // Dump renders all counters as a table, sorted by name.
 func (r *Registry) Dump() *Table {
 	t := NewTable("counters", "name", "value")
-	for _, n := range r.CounterNames() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range sortedKeys(r.counters) {
 		t.AddRow(n, r.counters[n].Value)
 	}
 	return t

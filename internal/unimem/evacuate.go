@@ -87,7 +87,7 @@ func (s *Space) evacuatePage(pageNo uint64, to int, done func()) {
 		}
 	}
 	old := p.Owner()
-	s.countAt(old, "evacuations")
+	s.countAt(old, ctrEvacuations)
 	start := s.engFor(old).Now()
 	finish := func() {
 		p.setOwner(to)

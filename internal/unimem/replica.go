@@ -56,7 +56,7 @@ func (s *Space) Replicate(addr uint64, w int, done func()) {
 		}
 		return
 	}
-	s.countAt(p.Owner(), "replications")
+	s.countAt(p.Owner(), ctrReplications)
 	s.net.DMATransfer(p.Owner(), w, s.cfg.PageBytes, noc.DefaultDMAConfig(), func() {
 		s.wm(w).dram.Access(s.cfg.PageBytes, func() {
 			r.holders[w] = true
@@ -134,7 +134,7 @@ func (s *Space) dropReplicas(node int, addr uint64, done func()) {
 		return
 	}
 	holders := sortedHolders(r.holders)
-	s.countAt(node, "replica_invalidations")
+	s.countAt(node, ctrReplicaInvalidations)
 	wg := sim.NewWaitGroup(s.Engine(), len(holders))
 	for _, h := range holders {
 		h := h
@@ -169,11 +169,11 @@ func (s *Space) ReplicatedRead(node int, addr uint64, size int, done func(data [
 		}
 	}
 	if src == node {
-		s.countAt(node, "replica_local_reads")
+		s.countAt(node, ctrReplicaLocalReads)
 		s.wm(node).dram.Access(size, deliver)
 		return
 	}
-	s.countAt(node, "replica_remote_reads")
+	s.countAt(node, ctrReplicaRemoteReads)
 	s.net.Send(node, src, s.cfg.CtrlBytes, noc.Load, func() {
 		s.wm(src).dram.Access(size, func() {
 			s.net.Send(src, node, size, noc.Load, deliver)

@@ -101,6 +101,7 @@ type Space struct {
 	net     *noc.Network
 	cfg     Config
 	reg     *trace.Registry
+	ctrs    [numSpaceCtrs]*trace.Counter // reg's space counters, by first use
 	pages   map[uint64]*page
 	workers []*workerMem
 	next    uint64 // next free page number
@@ -177,12 +178,68 @@ func (s *Space) Cache(w int) *mem.Cache { return s.wm(w).cache }
 // DRAM returns worker w's DRAM channel.
 func (s *Space) DRAM(w int) *mem.DRAM { return s.wm(w).dram }
 
-// countAt bumps a space counter attributed to worker w (whose shard
-// registry absorbs it on a sharded machine).
-func (s *Space) countAt(w int, name string) {
-	if r := s.regFor(w); r != nil {
-		r.Counter("unimem." + name).Inc()
+// spaceCtr identifies one of the space's access counters, so the hot
+// paths that bump them need no name lookup.
+type spaceCtr uint8
+
+const (
+	ctrCacherMoves spaceCtr = iota
+	ctrRemoteReads
+	ctrCacheHits
+	ctrCacheFills
+	ctrLocalUncached
+	ctrRemoteWrites
+	ctrWritebacks
+	ctrAtomics
+	ctrNotifies
+	ctrMigrations
+	ctrEvacuations
+	ctrReplications
+	ctrReplicaInvalidations
+	ctrReplicaLocalReads
+	ctrReplicaRemoteReads
+	numSpaceCtrs
+)
+
+var spaceCtrNames = [numSpaceCtrs]string{
+	ctrCacherMoves:          "unimem.cacher_moves",
+	ctrRemoteReads:          "unimem.remote_reads",
+	ctrCacheHits:            "unimem.cache_hits",
+	ctrCacheFills:           "unimem.cache_fills",
+	ctrLocalUncached:        "unimem.local_uncached",
+	ctrRemoteWrites:         "unimem.remote_writes",
+	ctrWritebacks:           "unimem.writebacks",
+	ctrAtomics:              "unimem.atomics",
+	ctrNotifies:             "unimem.notifies",
+	ctrMigrations:           "unimem.migrations",
+	ctrEvacuations:          "unimem.evacuations",
+	ctrReplications:         "unimem.replications",
+	ctrReplicaInvalidations: "unimem.replica_invalidations",
+	ctrReplicaLocalReads:    "unimem.replica_local_reads",
+	ctrReplicaRemoteReads:   "unimem.replica_remote_reads",
+}
+
+// countAt bumps space counter c attributed to worker w. A legacy space
+// resolves each counter in its registry on first use and keeps the
+// pointer, so the registry's series set is as if it were looked up on
+// every access; a sharded one counts into w's shard registry, which
+// report merging sums.
+func (s *Space) countAt(w int, c spaceCtr) {
+	if s.net.Sharded() {
+		if r := s.net.For(w).Reg(); r != nil {
+			r.Counter(spaceCtrNames[c]).Inc()
+		}
+		return
 	}
+	if s.reg == nil {
+		return
+	}
+	ctr := s.ctrs[c]
+	if ctr == nil {
+		ctr = s.reg.Counter(spaceCtrNames[c])
+		s.ctrs[c] = ctr
+	}
+	ctr.Inc()
 }
 
 // Alloc reserves size bytes of globally addressable memory owned by
@@ -264,7 +321,7 @@ func (s *Space) SetCacher(addr uint64, node int, done func()) {
 	if om := s.workers[old]; om != nil {
 		_, dirty = om.cache.InvalidateRange(pageBase, s.cfg.PageBytes)
 	}
-	s.countAt(old, "cacher_moves")
+	s.countAt(old, ctrCacherMoves)
 	finish := func() {
 		p.setCacher(node)
 		if done != nil {
@@ -326,7 +383,7 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 	if s.net.Sharded() && owner != node {
 		// Cross-LP load: the bytes are captured at the owner's LP — the
 		// only LP that touches page data — and travel in the response.
-		s.countAt(node, "remote_reads")
+		s.countAt(node, ctrRemoteReads)
 		s.netFor(node).Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
 			s.wm(owner).dram.Access(size, func() {
 				buf := make([]byte, size)
@@ -353,11 +410,11 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 		res := w.cache.Access(addr, false)
 		s.handleEviction(node, p, res)
 		if res.Hit {
-			s.countAt(node, "cache_hits")
+			s.countAt(node, ctrCacheHits)
 			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, deliver)
 			return
 		}
-		s.countAt(node, "cache_fills")
+		s.countAt(node, ctrCacheFills)
 		if owner == node {
 			w.dram.Access(mem.LineBytes, deliver)
 			return
@@ -368,10 +425,10 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 			})
 		})
 	case owner == node:
-		s.countAt(node, "local_uncached")
+		s.countAt(node, ctrLocalUncached)
 		w.dram.Access(size, deliver)
 	default:
-		s.countAt(node, "remote_reads")
+		s.countAt(node, ctrRemoteReads)
 		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
 			s.wm(owner).dram.Access(size, func() {
 				s.net.Send(owner, node, size, noc.Load, deliver)
@@ -392,7 +449,7 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 		// Cross-LP store: the bytes travel with the request and are
 		// applied at the owner's LP (see the page doc above) instead of
 		// at issue time.
-		s.countAt(node, "remote_writes")
+		s.countAt(node, ctrRemoteWrites)
 		buf := append([]byte(nil), data...)
 		s.netFor(node).Send(node, owner, len(data)+s.cfg.CtrlBytes, noc.Store, func() {
 			copy(p.data[off:], buf)
@@ -418,11 +475,11 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 		res := w.cache.Access(addr, true)
 		s.handleEviction(node, p, res)
 		if res.Hit {
-			s.countAt(node, "cache_hits")
+			s.countAt(node, ctrCacheHits)
 			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, finish)
 			return
 		}
-		s.countAt(node, "cache_fills")
+		s.countAt(node, ctrCacheFills)
 		if owner == node {
 			w.dram.Access(mem.LineBytes, finish)
 			return
@@ -434,10 +491,10 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 			})
 		})
 	case owner == node:
-		s.countAt(node, "local_uncached")
+		s.countAt(node, ctrLocalUncached)
 		w.dram.Access(len(data), finish)
 	default:
-		s.countAt(node, "remote_writes")
+		s.countAt(node, ctrRemoteWrites)
 		// Uncached remote store: posted write + ack.
 		s.net.Send(node, owner, len(data)+s.cfg.CtrlBytes, noc.Store, func() {
 			s.wm(owner).dram.Access(len(data), func() {
@@ -457,7 +514,7 @@ func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 	p := s.pageOf(addr)
 	owner := p.Owner()
 	if s.net.Sharded() && owner != node {
-		s.countAt(node, "remote_writes")
+		s.countAt(node, ctrRemoteWrites)
 		s.netFor(node).Send(node, owner, size+s.cfg.CtrlBytes, noc.Store, func() {
 			s.wm(owner).dram.Access(size, func() {
 				s.netFor(owner).Send(owner, node, s.cfg.CtrlBytes, noc.Store, func() {
@@ -480,11 +537,11 @@ func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 		res := w.cache.Access(addr, true)
 		s.handleEviction(node, p, res)
 		if res.Hit {
-			s.countAt(node, "cache_hits")
+			s.countAt(node, ctrCacheHits)
 			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, finish)
 			return
 		}
-		s.countAt(node, "cache_fills")
+		s.countAt(node, ctrCacheFills)
 		if owner == node {
 			w.dram.Access(mem.LineBytes, finish)
 			return
@@ -495,10 +552,10 @@ func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 			})
 		})
 	case owner == node:
-		s.countAt(node, "local_uncached")
+		s.countAt(node, ctrLocalUncached)
 		w.dram.Access(size, finish)
 	default:
-		s.countAt(node, "remote_writes")
+		s.countAt(node, ctrRemoteWrites)
 		s.net.Send(node, owner, size+s.cfg.CtrlBytes, noc.Store, func() {
 			s.wm(owner).dram.Access(size, func() {
 				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Store, finish)
@@ -518,7 +575,7 @@ func (s *Space) handleEviction(node int, _ *page, res mem.AccessResult) {
 	if !ok {
 		return
 	}
-	s.countAt(node, "writebacks")
+	s.countAt(node, ctrWritebacks)
 	vo := vp.Owner()
 	if vo == node {
 		s.wm(node).dram.Access(mem.LineBytes, nil)
@@ -608,7 +665,7 @@ func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done
 			})
 		})
 	}
-	s.countAt(node, "atomics")
+	s.countAt(node, ctrAtomics)
 	if node == owner {
 		exec()
 		return
@@ -620,7 +677,7 @@ func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done
 // "messages to synchronize remote threads" of §4.1), raising the
 // mailbox as an interrupt-class transaction.
 func (s *Space) Notify(src, dst int, payload uint64, done func()) {
-	s.countAt(src, "notifies")
+	s.countAt(src, ctrNotifies)
 	s.netFor(src).Send(src, dst, s.cfg.CtrlBytes, noc.Interrupt, func() {
 		s.wm(dst).mbox.Push(Message{From: src, Payload: payload})
 		if done != nil {
@@ -655,7 +712,7 @@ func (s *Space) MigratePage(addr uint64, newOwner int, done func()) {
 		return
 	}
 	origOwner := p.Owner()
-	s.countAt(origOwner, "migrations")
+	s.countAt(origOwner, ctrMigrations)
 	start := s.engFor(origOwner).Now()
 	s.SetCacher(addr, origOwner, func() {
 		old := p.Owner()

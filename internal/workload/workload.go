@@ -4,13 +4,14 @@
 // Monte-Carlo financial simulation (the Maxeler use case, ref [18]),
 // decision-tree learning (the HC-CART use case, ref [17]), n-body, and
 // reductions. Every kernel exists in the HLS kernel language (so it can
-// be synthesized to hardware and interpreted in software from the same
+// be synthesized to hardware and executed in software from the same
 // source) together with a native Go golden model for verification.
 package workload
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ecoscale/internal/hls"
 	"ecoscale/internal/sim"
@@ -45,8 +46,34 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workload: unknown kernel %q", name)
 }
 
-// Kernel parses the workload's source.
-func (w Workload) Kernel() *hls.Kernel { return hls.MustParse(w.Source) }
+// kernels memoises Kernel by source text, so every caller shares one
+// parsed kernel and its compiled form.
+var kernels sync.Map // string → *hls.Kernel
+
+// Kernel returns the workload's parsed kernel. It is parsed once per
+// source and shared: callers must not modify it.
+func (w Workload) Kernel() *hls.Kernel {
+	if k, ok := kernels.Load(w.Source); ok {
+		return k.(*hls.Kernel)
+	}
+	k, _ := kernels.LoadOrStore(w.Source, hls.MustParse(w.Source))
+	return k.(*hls.Kernel)
+}
+
+// BenchN is the problem size the host-cost benchmarks of the software
+// executor (BenchmarkRun, simbench's hls_run series) run w at: large
+// enough that one run dwarfs its setup, small enough for the O(N²) and
+// O(N³) kernels to finish in milliseconds.
+func BenchN(w Workload) int {
+	switch w.Name {
+	case "matmul":
+		return 32
+	case "nbody", "stencil2d":
+		return 64
+	default:
+		return 1024
+	}
+}
 
 // RunSW executes the workload in software for size n and verifies the
 // result against the golden model, returning the dynamic op stats.
