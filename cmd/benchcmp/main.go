@@ -14,7 +14,9 @@
 // host-matching rule. The hls_run series (the compiled HLS executor on
 // every library kernel) gates its RunStats checksums and allocations per
 // run always, and its ns/op only between equivalent hosts whose runs
-// had the same procs.
+// had the same procs. The unimem_stream series (one UNIMEM stream of
+// each kind) follows the same rule: allocations and simulated events per
+// stream always, ns/op only on an equivalent host with the same procs.
 //
 // -wall=false drops the time-based comparisons even on an equivalent
 // host: CI compares a -quick run against the full committed baseline, and
@@ -71,16 +73,26 @@ type hlsRunEntry struct {
 	Checksum    string  `json:"checksum"`
 }
 
+type unimemStreamEntry struct {
+	Kind        string  `json:"kind"`
+	Bytes       int     `json:"bytes"`
+	Procs       int     `json:"procs"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	EventsPerOp uint64  `json:"sim_events_per_op"`
+}
+
 type report struct {
-	Schema       string             `json:"schema"`
-	GoVersion    string             `json:"go_version"`
-	GOARCH       string             `json:"goarch"`
-	CPUs         int                `json:"cpus"`
-	Kernel       []kernelEntry      `json:"kernel"`
-	Speedup      map[string]float64 `json:"speedup_events_per_sec"`
-	ShardScaling []shardEntry       `json:"shard_scaling"`
-	CacheWarm    *cacheWarmEntry    `json:"cache_warm"`
-	HLSRun       []hlsRunEntry      `json:"hls_run"`
+	Schema       string              `json:"schema"`
+	GoVersion    string              `json:"go_version"`
+	GOARCH       string              `json:"goarch"`
+	CPUs         int                 `json:"cpus"`
+	Kernel       []kernelEntry       `json:"kernel"`
+	Speedup      map[string]float64  `json:"speedup_events_per_sec"`
+	ShardScaling []shardEntry        `json:"shard_scaling"`
+	CacheWarm    *cacheWarmEntry     `json:"cache_warm"`
+	HLSRun       []hlsRunEntry       `json:"hls_run"`
+	UnimemStream []unimemStreamEntry `json:"unimem_stream"`
 }
 
 func load(path string) (*report, error) {
@@ -245,6 +257,30 @@ func main() {
 		if wallOK && o.Procs == n.Procs && o.N == n.N && n.NsPerOp > o.NsPerOp*(1+*tol) {
 			fail("hls_run %s: ns/op %.0f -> %.0f (>%.0f%% regression)",
 				o.Kernel, o.NsPerOp, n.NsPerOp, *tol*100)
+		}
+	}
+
+	// unimem_stream: allocations and simulated events per stream are
+	// deterministic; ns/op follows the host-matching rule.
+	newStream := map[string]unimemStreamEntry{}
+	for _, e := range newRep.UnimemStream {
+		newStream[e.Kind] = e
+	}
+	for _, o := range oldRep.UnimemStream {
+		n, ok := newStream[o.Kind]
+		if !ok {
+			fail("unimem_stream %s missing from new report", o.Kind)
+			continue
+		}
+		if o.Bytes == n.Bytes && o.EventsPerOp != n.EventsPerOp {
+			fail("unimem_stream %s: events/op %d -> %d", o.Kind, o.EventsPerOp, n.EventsPerOp)
+		}
+		if n.AllocsPerOp > o.AllocsPerOp*(1+*tol)+0.05 {
+			fail("unimem_stream %s: allocs/op %.2f -> %.2f", o.Kind, o.AllocsPerOp, n.AllocsPerOp)
+		}
+		if wallOK && o.Procs == n.Procs && o.Bytes == n.Bytes && n.NsPerOp > o.NsPerOp*(1+*tol) {
+			fail("unimem_stream %s: ns/op %.0f -> %.0f (>%.0f%% regression)",
+				o.Kind, o.NsPerOp, n.NsPerOp, *tol*100)
 		}
 	}
 

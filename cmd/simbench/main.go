@@ -9,7 +9,7 @@
 // time, and times the same subset cold-vs-warm against the
 // content-addressed result cache (the cache_warm series). The hls_run
 // series times the compiled HLS executor (hls.Run) on every library
-// kernel.
+// kernel, and the unimem_stream series one UNIMEM stream of each kind.
 //
 // Usage:
 //
@@ -42,11 +42,14 @@ import (
 	"ecoscale/internal/cas"
 	"ecoscale/internal/experiments"
 	"ecoscale/internal/hls"
+	"ecoscale/internal/noc"
 	"ecoscale/internal/rts"
 	"ecoscale/internal/runner"
 	"ecoscale/internal/sim"
 	"ecoscale/internal/sim/heapref"
+	"ecoscale/internal/topo"
 	"ecoscale/internal/trace"
+	"ecoscale/internal/unimem"
 	"ecoscale/internal/workload"
 )
 
@@ -95,6 +98,79 @@ type report struct {
 	// allocations per run are properties of the code, compared on any
 	// host; ns/op is compared only between runs with matching procs.
 	HLSRun []hlsRunResult `json:"hls_run,omitempty"`
+	// UnimemStream times one 64 KiB UNIMEM stream of each kind from a
+	// remote owner on a warmed space. Allocations per stream and
+	// simulated events per stream are properties of the code, compared
+	// on any host; ns/op only between runs with matching procs.
+	UnimemStream []unimemStreamResult `json:"unimem_stream,omitempty"`
+}
+
+// unimemStreamResult is one stream kind on the pooled line pipeline.
+type unimemStreamResult struct {
+	Kind        string  `json:"kind"`
+	Bytes       int     `json:"bytes"`
+	Procs       int     `json:"procs"`
+	Runs        int     `json:"runs"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	EventsPerOp uint64  `json:"sim_events_per_op"`
+}
+
+// unimemStreamSeries measures each stream kind: worker 0 streams 64 KiB
+// owned by worker 1 (every line crosses the interconnect) with a window
+// of 8. One untimed stream warms the space; each round then repeats the
+// stream until minWall has passed, and the fastest round is kept.
+func unimemStreamSeries(rounds int, minWall time.Duration) []unimemStreamResult {
+	const size = 64 << 10
+	data := make([]byte, size)
+	kinds := []struct {
+		name   string
+		stream func(s *unimem.Space, addr uint64, done func())
+	}{
+		{"read", func(s *unimem.Space, a uint64, done func()) { s.StreamRead(0, a, size, 8, done) }},
+		{"write", func(s *unimem.Space, a uint64, done func()) { s.StreamWrite(0, a, data, 8, done) }},
+		{"writeback", func(s *unimem.Space, a uint64, done func()) { s.StreamWriteback(0, a, size, 8, done) }},
+	}
+	var out []unimemStreamResult
+	for _, k := range kinds {
+		eng := sim.NewEngine(1)
+		tree := topo.NewTree(4)
+		reg := trace.NewRegistry()
+		space := unimem.NewSpace(noc.NewNetwork(eng, tree, noc.DefaultConfig(tree.MaxHops()), nil, reg),
+			unimem.DefaultConfig(), reg)
+		addr := space.Alloc(1, size)
+		done := func() {}
+		k.stream(space, addr, done)
+		eng.RunUntilIdle()
+		ev0 := eng.EventsRun()
+		k.stream(space, addr, done)
+		eng.RunUntilIdle()
+		best := unimemStreamResult{Kind: k.name, Bytes: size, Procs: runtime.GOMAXPROCS(0),
+			EventsPerOp: eng.EventsRun() - ev0}
+		for r := 0; r < rounds; r++ {
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			runs := 0
+			t0 := time.Now()
+			for runs == 0 || time.Since(t0) < minWall {
+				k.stream(space, addr, done)
+				eng.RunUntilIdle()
+				runs++
+			}
+			wall := time.Since(t0)
+			runtime.ReadMemStats(&m1)
+			ns := float64(wall.Nanoseconds()) / float64(runs)
+			if r == 0 || ns < best.NsPerOp {
+				best.Runs, best.NsPerOp = runs, ns
+				best.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(runs)
+			}
+		}
+		fmt.Fprintf(os.Stderr, "unimem_stream %-9s %6d B %12.0f ns/op  %.2f allocs/op  %d events/op\n",
+			k.name, size, best.NsPerOp, best.AllocsPerOp, best.EventsPerOp)
+		out = append(out, best)
+	}
+	return out
 }
 
 // hlsRunResult is one library kernel on the compiled HLS executor.
@@ -631,6 +707,7 @@ func main() {
 		log.Fatalf("hls_run: %v", err)
 	}
 	rep.HLSRun = hr
+	rep.UnimemStream = unimemStreamSeries(*rounds, hlsWall)
 
 	rep.Footprint = footprintSeries(*quick)
 	rep.ShardScaling = shardScalingSeries(*quick, *rounds)

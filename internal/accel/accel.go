@@ -384,7 +384,7 @@ func (in *Instance) execute(spec CallSpec, finish func(error)) {
 	// Stream all inputs, then compute.
 	wg := sim.NewWaitGroup(m.eng, len(spec.Reads))
 	for _, r := range spec.Reads {
-		m.Space.StreamRead(in.Worker, r.Addr, r.Size, m.StreamWindow, func([]byte) { wg.DoneOne() })
+		m.Space.StreamRead(in.Worker, r.Addr, r.Size, m.StreamWindow, wg.DoneOne)
 	}
 	wg.WaitCall(execCompute, op)
 }
@@ -484,13 +484,14 @@ func Chain(caller int, stages []*Instance, data Span, bindings map[string]float6
 	first := stages[0]
 	m := first.mgr
 	// One stream in at the head.
-	m.Space.StreamRead(first.Worker, data.Addr, data.Size, m.StreamWindow, func([]byte) {
+	m.Space.StreamRead(first.Worker, data.Addr, data.Size, m.StreamWindow, func() {
 		var step func(i int)
 		step = func(i int) {
 			if i == len(stages) {
-				// One stream out at the tail.
+				// One stream out at the tail: an identity write-back of
+				// the chained buffer, as execWriteback streams results.
 				last := stages[len(stages)-1]
-				last.mgr.Space.StreamWrite(last.Worker, data.Addr, make([]byte, data.Size), last.mgr.StreamWindow, func() {
+				last.mgr.Space.StreamWriteback(last.Worker, data.Addr, data.Size, last.mgr.StreamWindow, func() {
 					done(nil)
 				})
 				return

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -345,6 +346,37 @@ func TestChainMovesLessData(t *testing.T) {
 
 	if chainEnd >= sepEnd {
 		t.Errorf("chained pipeline (%v) should beat store-and-forward (%v)", chainEnd, sepEnd)
+	}
+}
+
+// Chain streams the buffer out as an identity write-back: the chained
+// stages model timing only, so the caller's bytes must survive intact.
+func TestChainKeepsData(t *testing.T) {
+	const size = 8192
+	r := newRig(t, 2)
+	src := strings.Replace(srcScale, "kernel scale", "kernel stagea", 1)
+	stages := []*Instance{ensure(t, r, 0, mustImpl(t, src, hls.DefaultDirectives()))}
+	addr := r.space.Alloc(0, size)
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i*31 + 7)
+	}
+	for off := 0; off < size; off += r.space.PageBytes() {
+		r.space.Poke(addr+uint64(off), want[off:off+r.space.PageBytes()])
+	}
+	done := false
+	Chain(0, stages, Span{addr, size}, map[string]float64{"N": 1024}, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		done = true
+	})
+	r.eng.RunUntilIdle()
+	if !done {
+		t.Fatal("chain did not complete")
+	}
+	if got := r.space.PeekRange(addr, size); !bytes.Equal(got, want) {
+		t.Error("Chain overwrote the chained buffer")
 	}
 }
 

@@ -393,3 +393,40 @@ func TestDiscard(t *testing.T) {
 		t.Fatalf("cache.corrupt = %d, want 1", counter(reg, MetricCorrupt))
 	}
 }
+
+// FuzzDecodeEntry drives the disk-entry decoder. It must never panic;
+// encodeEntry→decodeEntry must round-trip; a mutated entry (one byte
+// flipped and/or the tail cut) must decode to errCorrupt or to the
+// original payload; and arbitrary bytes that do decode must be exactly
+// the canonical encoding of what they decode to. The seed corpus runs
+// under plain go test.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Add("E1", "n=1", int64(7), "v1", []byte("payload"), uint16(3), byte(0x20), uint16(0), []byte(nil))
+	f.Add("", "", int64(0), "", []byte{}, uint16(0), byte(0), uint16(1), []byte("ECOCAS01"))
+	f.Add("R4", "faults=3", int64(-1), "k9", bytes.Repeat([]byte{0xff}, 300), uint16(17), byte(1), uint16(9),
+		encodeEntry(testKey(1), []byte("x")))
+	f.Fuzz(func(t *testing.T, scenario, params string, seed int64, version string, payload []byte,
+		pos uint16, flip byte, cut uint16, raw []byte) {
+		k := Key{Scenario: scenario, Params: params, Seed: seed, Version: version}
+		b := encodeEntry(k, payload)
+		got, err := decodeEntry(k, b)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip failed: err=%v", err)
+		}
+		m := append([]byte(nil), b...)
+		m[int(pos)%len(m)] ^= flip
+		m = m[:len(m)-int(cut)%(len(m)+1)]
+		got, err = decodeEntry(k, m)
+		switch {
+		case err != nil && err != errCorrupt:
+			t.Fatalf("mutated entry: error %v, want errCorrupt", err)
+		case err == nil && !bytes.Equal(got, payload):
+			t.Fatal("mutated entry decoded to a different payload")
+		}
+		if got, err := decodeEntry(k, raw); err == nil && !bytes.Equal(encodeEntry(k, got), raw) {
+			t.Fatal("raw bytes decoded but are not the canonical entry for their payload")
+		} else if err != nil && err != errCorrupt {
+			t.Fatalf("raw bytes: error %v, want errCorrupt", err)
+		}
+	})
+}

@@ -26,6 +26,7 @@ import (
 	"ecoscale/internal/energy"
 	"ecoscale/internal/fabric"
 	"ecoscale/internal/hls"
+	"ecoscale/internal/mem"
 	"ecoscale/internal/mpi"
 	"ecoscale/internal/noc"
 	"ecoscale/internal/profile"
@@ -137,11 +138,30 @@ func (cfg Config) Validate() error {
 	if cfg.MappedBytes < 0 {
 		return fmt.Errorf("core: MappedBytes = %d; the identity-mapped window cannot be negative", cfg.MappedBytes)
 	}
+	um := cfg.Unimem
+	if um.PageBytes <= 0 || um.PageBytes%mem.LineBytes != 0 {
+		return fmt.Errorf("core: Unimem.PageBytes = %d; a page must be a positive multiple of the %d-byte line", um.PageBytes, mem.LineBytes)
+	}
+	if um.CacheCfg.Sets <= 0 || um.CacheCfg.Ways <= 0 {
+		return fmt.Errorf("core: Unimem cache %d sets x %d ways; both need to be positive", um.CacheCfg.Sets, um.CacheCfg.Ways)
+	}
+	if !(um.DRAMCfg.BytesPerNs > 0) {
+		return fmt.Errorf("core: Unimem DRAM bandwidth %v B/ns; it must be positive", um.DRAMCfg.BytesPerNs)
+	}
+	if um.CtrlBytes < 0 {
+		return fmt.Errorf("core: Unimem.CtrlBytes = %d; a request header cannot be negative", um.CtrlBytes)
+	}
 	if cfg.Fabric.Rows <= 0 || cfg.Fabric.Cols <= 0 {
 		return fmt.Errorf("core: fabric grid %dx%d; both dimensions need at least one region", cfg.Fabric.Rows, cfg.Fabric.Cols)
 	}
+	if !(cfg.Fabric.PortBytesPerNs > 0) {
+		return fmt.Errorf("core: fabric configuration port bandwidth %v B/ns; it must be positive", cfg.Fabric.PortBytesPerNs)
+	}
 	if cfg.SMMU.TLBEntries <= 0 {
 		return fmt.Errorf("core: SMMU needs at least one TLB entry, got %d", cfg.SMMU.TLBEntries)
+	}
+	if cfg.SMMU.PageBits < 12 || cfg.SMMU.PageBits > 30 {
+		return fmt.Errorf("core: SMMU.PageBits = %d; want 12 (4 KiB pages) to 30 (1 GiB pages)", cfg.SMMU.PageBits)
 	}
 	if cfg.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d; want 0 (single engine) or a positive shard count", cfg.Shards)

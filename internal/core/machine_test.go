@@ -61,6 +61,12 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"negative mapped bytes", func(c *Config) { c.MappedBytes = -1 }, "MappedBytes"},
 		{"empty fabric", func(c *Config) { c.Fabric.Rows = 0 }, "fabric grid"},
 		{"no tlb", func(c *Config) { c.SMMU.TLBEntries = 0 }, "TLB"},
+		{"unaligned page", func(c *Config) { c.Unimem.PageBytes = 100 }, "PageBytes = 100"},
+		{"no cache sets", func(c *Config) { c.Unimem.CacheCfg.Sets = 0 }, "cache 0 sets"},
+		{"no dram bandwidth", func(c *Config) { c.Unimem.DRAMCfg.BytesPerNs = 0 }, "DRAM bandwidth"},
+		{"negative header", func(c *Config) { c.Unimem.CtrlBytes = -1 }, "CtrlBytes"},
+		{"no config port", func(c *Config) { c.Fabric.PortBytesPerNs = 0 }, "port bandwidth"},
+		{"tiny smmu page", func(c *Config) { c.SMMU.PageBits = 1 }, "PageBits = 1"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(2, 1)

@@ -296,11 +296,11 @@ func scenE5() runner.Scenario {
 						addr := space.Alloc(tc.owner, 65536)
 						// First pass warms the cache (only legal at the owner).
 						done := 0
-						space.StreamRead(0, addr, 65536, 8, func([]byte) { done++ })
+						space.StreamRead(0, addr, 65536, 8, func() { done++ })
 						eng.RunUntilIdle()
 						start := eng.Now()
 						var lat sim.Time
-						space.StreamRead(0, addr, 65536, 8, func([]byte) { lat = eng.Now() - start; done++ })
+						space.StreamRead(0, addr, 65536, 8, func() { lat = eng.Now() - start; done++ })
 						eng.RunUntilIdle()
 						if done != 2 {
 							return runner.Row{}, fmt.Errorf("E5: stream lost")

@@ -277,10 +277,22 @@ func NewDRAM(eng *sim.Engine, cfg DRAMConfig) *DRAM {
 
 // Access reads or writes size bytes, calling done when the data has moved.
 func (d *DRAM) Access(size int, done func()) {
+	d.banks.Use(d.hold(size), done)
+}
+
+// AccessCall is Access with a static-function completion: fn(arg) runs
+// when the data has moved, with no closure boxed at the call site (see
+// sim.Resource.UseCall).
+func (d *DRAM) AccessCall(size int, fn func(any), arg any) {
+	d.banks.UseCall(d.hold(size), fn, arg)
+}
+
+// hold counts one access of size bytes and returns how long it occupies
+// a bank.
+func (d *DRAM) hold(size int) sim.Time {
 	d.accesses++
 	d.bytes += uint64(size)
-	transfer := sim.Time(float64(size) / d.cfg.BytesPerNs * float64(sim.Nanosecond))
-	d.banks.Use(d.cfg.AccessLatency+transfer, done)
+	return d.cfg.AccessLatency + sim.Time(float64(size)/d.cfg.BytesPerNs*float64(sim.Nanosecond))
 }
 
 // Accesses returns the access count.

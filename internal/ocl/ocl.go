@@ -144,7 +144,7 @@ func (b *Buffer) Write(fromWorker int, host []float64, deps []*Event) *Event {
 func (b *Buffer) Read(toWorker int, deps []*Event) *Event {
 	ev := newEvent(b.ctx.p.M.Eng)
 	after(deps, func() {
-		b.ctx.p.M.Space.StreamRead(toWorker, b.addr, b.Bytes(), 8, func([]byte) {
+		b.ctx.p.M.Space.StreamRead(toWorker, b.addr, b.Bytes(), 8, func() {
 			ev.Data = b.Peek()
 			ev.complete(nil)
 		})

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -157,6 +158,13 @@ const (
 	MetricPointWallUS     = "runner.point.wall.us" // host wall clock per point
 )
 
+// Profiler label keys: every point runs under pprof labels naming its
+// scenario ID and point label (see runtime/pprof.Do).
+const (
+	LabelScenario = "scenario"
+	LabelPoint    = "point"
+)
+
 // Options tunes one Run call.
 type Options struct {
 	// Parallel is the worker-pool size; <= 0 means GOMAXPROCS.
@@ -252,13 +260,18 @@ func Run(ctx context.Context, s Scenario, opts Options) (*trace.Table, error) {
 			return p.Run(pctx)
 		}
 
+		// The point runs under scenario/point profiler labels, so a CPU
+		// profile of a whole run splits by scenario and point.
 		var row Row
 		var err error
-		if opts.Cache != nil && s.cacheablePoint(&p) {
-			row, err = runCached(opts.Cache, cacheKey(&s, &p, opts.CacheVersion), execute)
-		} else {
-			row, err = execute()
-		}
+		pprof.Do(pctx, pprof.Labels(LabelScenario, s.ID, LabelPoint, p.Label), func(lctx context.Context) {
+			pctx = lctx // the point's context carries its labels
+			if opts.Cache != nil && s.cacheablePoint(&p) {
+				row, err = runCached(opts.Cache, cacheKey(&s, &p, opts.CacheVersion), execute)
+			} else {
+				row, err = execute()
+			}
+		})
 
 		elapsed := time.Since(start)
 		if err != nil {

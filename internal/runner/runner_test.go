@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -237,5 +239,38 @@ func TestMultiRowCellsAndRunSeq(t *testing.T) {
 	}
 	if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "a" || tbl.Rows[1][0] != "b" {
 		t.Errorf("multi-row point mis-assembled: %v", tbl.Rows)
+	}
+}
+
+// Every point runs under scenario/point profiler labels, so a CPU
+// profile of a whole run splits by scenario with no extra tooling.
+func TestPointProfilerLabels(t *testing.T) {
+	for _, parallel := range []int{1, 3} {
+		var mu sync.Mutex
+		seen := map[string]string{}
+		s := Scenario{ID: "LBL", Table: "labels", Columns: []string{"x"},
+			Points: func() ([]Point, error) {
+				var pts []Point
+				for i := 0; i < 4; i++ {
+					label := fmt.Sprintf("p%d", i)
+					pts = append(pts, Point{Label: label, Run: func(ctx context.Context) (Row, error) {
+						scen, _ := pprof.Label(ctx, LabelScenario)
+						point, _ := pprof.Label(ctx, LabelPoint)
+						mu.Lock()
+						seen[label] = scen + "/" + point
+						mu.Unlock()
+						return R(label), nil
+					}})
+				}
+				return pts, nil
+			}}
+		if _, err := Run(context.Background(), s, Options{Parallel: parallel}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if got, want := seen[fmt.Sprintf("p%d", i)], fmt.Sprintf("LBL/p%d", i); got != want {
+				t.Errorf("parallel %d: point p%d ran with labels %q, want %q", parallel, i, got, want)
+			}
+		}
 	}
 }

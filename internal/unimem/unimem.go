@@ -80,6 +80,10 @@ type workerMem struct {
 	dram   *mem.DRAM
 	atomic *sim.Resource
 	mbox   *sim.FIFO[Message]
+
+	// Free lists of the line pipeline (see bulk.go).
+	lineFree   *lineOp
+	streamFree *streamOp
 }
 
 // Message is a small interprocessor message delivered to a Worker's
@@ -377,131 +381,18 @@ func (s *Space) observeCoh(node int, name string, start sim.Time, bytes int64) {
 //   - otherwise: uncached remote load — a round trip to the owner.
 func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 	s.checkSpan(addr, size)
-	p := s.pageOf(addr)
-	owner := p.Owner()
-	off := addr % uint64(s.cfg.PageBytes)
-	if s.net.Sharded() && owner != node {
-		// Cross-LP load: the bytes are captured at the owner's LP — the
-		// only LP that touches page data — and travel in the response.
-		s.countAt(node, ctrRemoteReads)
-		s.netFor(node).Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(size, func() {
-				buf := make([]byte, size)
-				copy(buf, p.data[off:])
-				s.netFor(owner).Send(owner, node, size, noc.Load, func() {
-					if done != nil {
-						done(buf)
-					}
-				})
-			})
-		})
-		return
-	}
-	w := s.wm(node)
-	deliver := func() {
-		if done != nil {
-			buf := make([]byte, size)
-			copy(buf, p.data[off:])
-			done(buf)
-		}
-	}
-	switch {
-	case p.Cacher() == node:
-		res := w.cache.Access(addr, false)
-		s.handleEviction(node, p, res)
-		if res.Hit {
-			s.countAt(node, ctrCacheHits)
-			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, deliver)
-			return
-		}
-		s.countAt(node, ctrCacheFills)
-		if owner == node {
-			w.dram.Access(mem.LineBytes, deliver)
-			return
-		}
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(mem.LineBytes, func() {
-				s.net.Send(owner, node, mem.LineBytes, noc.Load, deliver)
-			})
-		})
-	case owner == node:
-		s.countAt(node, ctrLocalUncached)
-		w.dram.Access(size, deliver)
-	default:
-		s.countAt(node, ctrRemoteReads)
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(size, func() {
-				s.net.Send(owner, node, size, noc.Load, deliver)
-			})
-		})
-	}
+	op := s.getLine(node)
+	op.addr, op.size, op.rdone = addr, size, done
+	s.access(op)
 }
 
-// Write performs a store of data at addr by worker node. done runs when
-// the store is globally performed (at the owner, or dirty in the single
-// legal cache).
+// Write performs a store of data at addr by worker node: the bytes are
+// copied into the page, then the store takes WriteBack's timing. done
+// runs when the store is globally performed (at the owner, or dirty in
+// the single legal cache).
 func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 	s.checkSpan(addr, len(data))
-	p := s.pageOf(addr)
-	owner := p.Owner()
-	off := addr % uint64(s.cfg.PageBytes)
-	if s.net.Sharded() && owner != node {
-		// Cross-LP store: the bytes travel with the request and are
-		// applied at the owner's LP (see the page doc above) instead of
-		// at issue time.
-		s.countAt(node, ctrRemoteWrites)
-		buf := append([]byte(nil), data...)
-		s.netFor(node).Send(node, owner, len(data)+s.cfg.CtrlBytes, noc.Store, func() {
-			copy(p.data[off:], buf)
-			s.wm(owner).dram.Access(len(buf), func() {
-				s.netFor(owner).Send(owner, node, s.cfg.CtrlBytes, noc.Store, func() {
-					if done != nil {
-						done()
-					}
-				})
-			})
-		})
-		return
-	}
-	w := s.wm(node)
-	copy(p.data[off:], data) // data plane: applied immediately (see package doc)
-	finish := func() {
-		if done != nil {
-			done()
-		}
-	}
-	switch {
-	case p.Cacher() == node:
-		res := w.cache.Access(addr, true)
-		s.handleEviction(node, p, res)
-		if res.Hit {
-			s.countAt(node, ctrCacheHits)
-			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, finish)
-			return
-		}
-		s.countAt(node, ctrCacheFills)
-		if owner == node {
-			w.dram.Access(mem.LineBytes, finish)
-			return
-		}
-		// Write-allocate: fetch the line, then dirty it locally.
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(mem.LineBytes, func() {
-				s.net.Send(owner, node, mem.LineBytes, noc.Load, finish)
-			})
-		})
-	case owner == node:
-		s.countAt(node, ctrLocalUncached)
-		w.dram.Access(len(data), finish)
-	default:
-		s.countAt(node, ctrRemoteWrites)
-		// Uncached remote store: posted write + ack.
-		s.net.Send(node, owner, len(data)+s.cfg.CtrlBytes, noc.Store, func() {
-			s.wm(owner).dram.Access(len(data), func() {
-				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Store, finish)
-			})
-		})
-	}
+	s.store(node, addr, len(data), data, done)
 }
 
 // WriteBack performs the timed store path of Write for size bytes at
@@ -511,79 +402,13 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 // effects and counters are modeled here while the data plane stays put.
 func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 	s.checkSpan(addr, size)
-	p := s.pageOf(addr)
-	owner := p.Owner()
-	if s.net.Sharded() && owner != node {
-		s.countAt(node, ctrRemoteWrites)
-		s.netFor(node).Send(node, owner, size+s.cfg.CtrlBytes, noc.Store, func() {
-			s.wm(owner).dram.Access(size, func() {
-				s.netFor(owner).Send(owner, node, s.cfg.CtrlBytes, noc.Store, func() {
-					if done != nil {
-						done()
-					}
-				})
-			})
-		})
-		return
-	}
-	w := s.wm(node)
-	finish := func() {
-		if done != nil {
-			done()
-		}
-	}
-	switch {
-	case p.Cacher() == node:
-		res := w.cache.Access(addr, true)
-		s.handleEviction(node, p, res)
-		if res.Hit {
-			s.countAt(node, ctrCacheHits)
-			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, finish)
-			return
-		}
-		s.countAt(node, ctrCacheFills)
-		if owner == node {
-			w.dram.Access(mem.LineBytes, finish)
-			return
-		}
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(mem.LineBytes, func() {
-				s.net.Send(owner, node, mem.LineBytes, noc.Load, finish)
-			})
-		})
-	case owner == node:
-		s.countAt(node, ctrLocalUncached)
-		w.dram.Access(size, finish)
-	default:
-		s.countAt(node, ctrRemoteWrites)
-		s.net.Send(node, owner, size+s.cfg.CtrlBytes, noc.Store, func() {
-			s.wm(owner).dram.Access(size, func() {
-				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Store, finish)
-			})
-		})
-	}
+	s.store(node, addr, size, nil, done)
 }
 
-// handleEviction charges the write-back cost of a dirty eviction from
-// node's cache: to local DRAM when node owns the victim page, or across
-// the interconnect to the victim's owner.
-func (s *Space) handleEviction(node int, _ *page, res mem.AccessResult) {
-	if !res.Evicted || !res.WritebackNeeded {
-		return
-	}
-	vp, ok := s.pages[res.EvictedAddr/uint64(s.cfg.PageBytes)]
-	if !ok {
-		return
-	}
-	s.countAt(node, ctrWritebacks)
-	vo := vp.Owner()
-	if vo == node {
-		s.wm(node).dram.Access(mem.LineBytes, nil)
-		return
-	}
-	s.netFor(node).Send(node, vo, mem.LineBytes, noc.Store, func() {
-		s.wm(vo).dram.Access(mem.LineBytes, nil)
-	})
+func (s *Space) store(node int, addr uint64, size int, data []byte, done func()) {
+	op := s.getLine(node)
+	op.addr, op.size, op.write, op.data, op.done = addr, size, true, data, done
+	s.access(op)
 }
 
 // ReadWord loads a 64-bit little-endian word.
