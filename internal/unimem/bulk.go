@@ -57,7 +57,7 @@ func (s *Space) putLine(w int, op *lineOp) {
 }
 
 // access walks one line through the memory system. On a sharded machine
-// a line whose page another LP owns takes the cross-LP branch; every
+// a line whose page another Worker owns takes the cross-LP branch; every
 // other line takes the timing switch below, shared by loads and stores
 // (see Read for the cases).
 func (s *Space) access(op *lineOp) {
@@ -320,6 +320,19 @@ func (s *Space) StreamRead(node int, addr uint64, size, window int, done func())
 	s.stream(node, addr, size, window, false, nil, done)
 }
 
+// StreamWrite writes data starting at addr on behalf of worker node as a
+// pipelined stream of line-sized stores with up to window in flight.
+func (s *Space) StreamWrite(node int, addr uint64, data []byte, window int, done func()) {
+	s.stream(node, addr, len(data), window, true, data, done)
+}
+
+// StreamWriteback is StreamWrite for an identity write-back: the same
+// pipelined store traffic, but the bytes are never read or copied — see
+// Space.WriteBack for why sharded machines require this.
+func (s *Space) StreamWriteback(node int, addr uint64, size, window int, done func()) {
+	s.stream(node, addr, size, window, true, nil, done)
+}
+
 // observeStream records one completed stream as a DMA span and a
 // latency-histogram sample.
 func (s *Space) observeStream(node int, name string, start sim.Time, size int) {
@@ -334,17 +347,4 @@ func (s *Space) observeStream(node int, name string, start sim.Time, size int) {
 		trace.LatencyHistogram(r, "lat.dma_us").Observe((now - start).Micros())
 		r.Counter("unimem.stream_bytes").Add(uint64(size))
 	}
-}
-
-// StreamWrite writes data starting at addr on behalf of worker node as a
-// pipelined stream of line-sized stores with up to window in flight.
-func (s *Space) StreamWrite(node int, addr uint64, data []byte, window int, done func()) {
-	s.stream(node, addr, len(data), window, true, data, done)
-}
-
-// StreamWriteback is StreamWrite for an identity write-back: the same
-// pipelined store traffic, but the bytes are never read or copied — see
-// Space.WriteBack for why sharded machines require this.
-func (s *Space) StreamWriteback(node int, addr uint64, size, window int, done func()) {
-	s.stream(node, addr, size, window, true, nil, done)
 }
