@@ -130,15 +130,6 @@ func NewManager(worker int, fab *fabric.Fabric, space *unimem.Space, mmu *smmu.S
 // Instances returns the loaded instance count.
 func (m *Manager) Instances() int { return len(m.instances) }
 
-// Lookup returns the instance for a module name, or nil.
-func (m *Manager) Lookup(name string) *Instance {
-	in := m.instances[name]
-	if in == nil || !in.loaded {
-		return nil
-	}
-	return in
-}
-
 // Ensure loads impl onto this Worker's fabric if not already present,
 // evicting idle instances (least recently used first) and defragmenting
 // when space is short — the middleware virtualization features of §4.3.
@@ -210,17 +201,6 @@ func (m *Manager) unload(in *Instance) {
 	if m.OnUnload != nil {
 		m.OnUnload(in)
 	}
-}
-
-// Unload evicts a named module; it reports whether it was present and
-// idle (busy instances are never evicted).
-func (m *Manager) Unload(name string) bool {
-	in, ok := m.instances[name]
-	if !ok || in.Busy() {
-		return false
-	}
-	m.unload(in)
-	return true
 }
 
 // occupancyAndDrain splits a call's cycle count into pipeline-occupancy
@@ -450,23 +430,6 @@ func (m *Manager) chargeEnergy(spec CallSpec) {
 		ops = 100
 	}
 	m.Meter.Charge("fpga", energy.Joules(ops)*m.Meter.Model.FPGAOp)
-}
-
-// Migrate moves a loaded module to another Worker's manager: the source
-// placement is released and the module is reloaded at the destination
-// (accelerator migration, §4.3). done receives the new instance.
-func (m *Manager) Migrate(name string, to *Manager, done func(*Instance, error)) {
-	in, ok := m.instances[name]
-	if !ok || !in.loaded {
-		done(nil, fmt.Errorf("accel: no loaded module %q to migrate", name))
-		return
-	}
-	if in.Busy() {
-		done(nil, fmt.Errorf("accel: module %q busy; drain before migration", name))
-		return
-	}
-	m.unload(in)
-	to.Ensure(in.Impl, done)
 }
 
 // Chain invokes a sequence of instances as a processing pipeline over

@@ -92,7 +92,7 @@ func TestEnsureLoadsOnce(t *testing.T) {
 	if r.mgrs[0].Fab.Loads() != loads {
 		t.Error("second Ensure reconfigured")
 	}
-	if r.mgrs[0].Instances() != 1 || r.mgrs[0].Lookup(im.Module().Name) != in1 {
+	if r.mgrs[0].Instances() != 1 || r.mgrs[0].instances[im.Module().Name] != in1 {
 		t.Error("bookkeeping wrong")
 	}
 }
@@ -213,75 +213,21 @@ func TestEvictionLRU(t *testing.T) {
 		ensure(t, r, 0, im)
 	}
 	m := r.mgrs[0]
-	if m.Lookup(names[4]) == nil {
+	if m.instances[names[4]] == nil {
 		t.Error("newest module missing")
 	}
 	evicted := 0
 	for _, n := range names[:4] {
-		if m.Lookup(n) == nil {
+		if m.instances[n] == nil {
 			evicted++
 		}
 	}
 	if evicted == 0 {
 		t.Error("no eviction happened despite full fabric")
 	}
-	if m.Lookup(names[0]) != nil && evicted < 4 {
+	if m.instances[names[0]] != nil && evicted < 4 {
 		// LRU: the oldest unused module should be the first to go.
 		t.Error("LRU eviction kept the oldest module")
-	}
-}
-
-func TestUnload(t *testing.T) {
-	r := newRig(t, 1)
-	im := mustImpl(t, srcScale, hls.DefaultDirectives())
-	in := ensure(t, r, 0, im)
-	name := in.Placement.Module.Name
-	if !r.mgrs[0].Unload(name) {
-		t.Error("Unload of idle module failed")
-	}
-	if r.mgrs[0].Lookup(name) != nil {
-		t.Error("module still present after Unload")
-	}
-	if r.mgrs[0].Unload(name) {
-		t.Error("second Unload succeeded")
-	}
-}
-
-func TestMigrate(t *testing.T) {
-	r := newRig(t, 2)
-	im := mustImpl(t, srcScale, hls.DefaultDirectives())
-	in := ensure(t, r, 0, im)
-	name := in.Placement.Module.Name
-	var moved *Instance
-	r.mgrs[0].Migrate(name, r.mgrs[1], func(m *Instance, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		moved = m
-	})
-	r.eng.RunUntilIdle()
-	if moved == nil || moved.Worker != 1 {
-		t.Fatal("migration failed")
-	}
-	if r.mgrs[0].Lookup(name) != nil {
-		t.Error("module still at source after migration")
-	}
-	if r.mgrs[1].Lookup(name) == nil {
-		t.Error("module missing at destination")
-	}
-}
-
-func TestMigrateMissing(t *testing.T) {
-	r := newRig(t, 2)
-	called := false
-	r.mgrs[0].Migrate("nope", r.mgrs[1], func(_ *Instance, err error) {
-		called = true
-		if err == nil {
-			t.Error("migrating a missing module should fail")
-		}
-	})
-	if !called {
-		t.Error("callback not invoked")
 	}
 }
 

@@ -54,7 +54,7 @@ func TestPreemptIdleInstance(t *testing.T) {
 	if ctx.StateBytes <= 0 {
 		t.Error("no checkpoint state")
 	}
-	if r.mgrs[0].Lookup(name) != nil {
+	if r.mgrs[0].instances[name] != nil {
 		t.Error("preempted module still occupies fabric")
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"ecoscale/internal/trace"
@@ -72,42 +71,6 @@ func (k Key) appendCanonical(b []byte) []byte {
 // Hash returns the content address of the key.
 func (k Key) Hash() Hash {
 	return sha256.Sum256(k.appendCanonical(nil))
-}
-
-// Params builds a canonical parameter encoding from alternating
-// name/value pairs, in the order given: "n=4 mode=tiles". Use it when
-// the parameter order is fixed in code; use ParamsMap when the
-// parameters arrive in a map.
-func Params(kv ...any) string {
-	if len(kv)%2 != 0 {
-		panic("cas.Params: odd number of key/value arguments")
-	}
-	b := make([]byte, 0, 32)
-	for i := 0; i < len(kv); i += 2 {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, fmt.Sprint(kv[i])...)
-		b = append(b, '=')
-		b = append(b, fmt.Sprint(kv[i+1])...)
-	}
-	return string(b)
-}
-
-// ParamsMap builds the canonical encoding of a parameter map: entries
-// are sorted by name, so the result is independent of map iteration
-// order.
-func ParamsMap(m map[string]any) string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	kv := make([]any, 0, 2*len(m))
-	for _, n := range names {
-		kv = append(kv, n, m[n])
-	}
-	return Params(kv...)
 }
 
 // Counter names the store records into its metrics registry. The

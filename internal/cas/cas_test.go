@@ -347,32 +347,6 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestParamsCanonical pins the canonical encoding: ParamsMap is
-// independent of map construction/iteration order, and Params renders
-// values with plain %v.
-func TestParamsCanonical(t *testing.T) {
-	m1 := map[string]any{}
-	m1["zeta"] = 1
-	m1["alpha"] = []int{4, 4}
-	m1["mid"] = "x"
-	m2 := map[string]any{}
-	m2["mid"] = "x"
-	m2["alpha"] = []int{4, 4}
-	m2["zeta"] = 1
-	want := "alpha=[4 4] mid=x zeta=1"
-	for i := 0; i < 32; i++ { // map iteration order is randomized per lookup
-		if got := ParamsMap(m1); got != want {
-			t.Fatalf("ParamsMap(m1) = %q, want %q", got, want)
-		}
-		if got := ParamsMap(m2); got != want {
-			t.Fatalf("ParamsMap(m2) = %q, want %q", got, want)
-		}
-	}
-	if got := Params("n", 256, "mode", "tiles"); got != "n=256 mode=tiles" {
-		t.Fatalf("Params = %q", got)
-	}
-}
-
 func TestDiscard(t *testing.T) {
 	dir := t.TempDir()
 	reg := trace.NewRegistry()

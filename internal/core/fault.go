@@ -84,10 +84,26 @@ func (m *Machine) domainUnload(in *accel.Instance) {
 	m.domainOf(in.Worker).Deregister(in)
 }
 
+// FaultShape is the shape fault plans draw victims from on this machine.
+func (m *Machine) FaultShape() fault.Shape {
+	return fault.Shape{
+		Workers: m.Workers(),
+		Rows:    m.Cfg.Fabric.Rows, Cols: m.Cfg.Fabric.Cols,
+		Levels: m.Tree.MaxHops(),
+	}
+}
+
 // InjectFaults expands and arms a fault plan. It returns the number of
 // scheduled fault events. An Empty plan arms nothing at all — no state,
-// no events, no RNG draws — so a zero-fault run is provably inert.
+// no events, no RNG draws — so a zero-fault run is provably inert. It
+// panics with Plan.Validate's message on a plan the machine's shape
+// rejects; callers that want the error instead should use FaultShape and
+// Validate first.
 func (m *Machine) InjectFaults(p *fault.Plan) int {
+	shape := m.FaultShape()
+	if err := p.Validate(shape); err != nil {
+		panic(err.Error())
+	}
 	if p.Empty() {
 		return 0
 	}
@@ -117,11 +133,7 @@ func (m *Machine) InjectFaults(p *fault.Plan) int {
 		}
 		fs.injector = fault.NewInjector(m.Eng, hooks)
 	}
-	events := p.Schedule(fault.Shape{
-		Workers: m.Workers(),
-		Rows:    m.Cfg.Fabric.Rows, Cols: m.Cfg.Fabric.Cols,
-		Levels: m.Tree.MaxHops(),
-	})
+	events := p.Schedule(shape)
 	if m.Grp != nil && !m.Grp.Running() {
 		m.Eng.SetupLP(m.ctrlLP)
 	}

@@ -59,6 +59,26 @@ func TestZeroFaultPlanInert(t *testing.T) {
 // Killing a Worker mid-run must lose no tasks: queued and in-flight
 // software work evacuates to a live buddy and every completion callback
 // fires exactly once, with no errors.
+// A plan the machine's shape rejects panics in InjectFaults with
+// Plan.Validate's message, before any fault state exists.
+func TestInjectFaultsRejectsInvalidPlan(t *testing.T) {
+	m := New(DefaultConfig(2, 2))
+	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.KillWorker, Worker: m.Workers()}}}
+	want := plan.Validate(m.FaultShape())
+	if want == nil {
+		t.Fatal("out-of-range victim validated")
+	}
+	defer func() {
+		if got := recover(); got != want.Error() {
+			t.Errorf("panic = %v, want %q", got, want)
+		}
+		if m.faults != nil {
+			t.Error("rejected plan materialized fault state")
+		}
+	}()
+	m.InjectFaults(plan)
+}
+
 func TestKillWorkerConservesTasks(t *testing.T) {
 	m := New(DefaultConfig(4, 1))
 	const total = 24

@@ -77,9 +77,6 @@ type Config struct {
 	// Trace enables the span tracer (Machine.Tracer): task-lifecycle
 	// spans across every layer, exportable as Chrome trace-event JSON.
 	Trace bool
-	// TraceCap bounds retained spans (0 = unbounded); spans past the
-	// cap are counted, not stored.
-	TraceCap int
 	// Profile enables the simulation profiler (Machine.Prof): the
 	// sim-clock sampling profiler during the run, and critical-path /
 	// utilization analyses afterward. Implies Trace, since the analyses
@@ -216,7 +213,7 @@ type Machine struct {
 	clusters []*rts.Cluster
 
 	// Flyweight state: shells[cn] is nil while Compute Node cn is
-	// quiescent; census aggregates liveness up the tree.
+	// quiescent; census counts the Workers that have materialized.
 	shells    []*nodeShell
 	wpc       int // workers per compute node (FanOut[0])
 	census    *topo.Census
@@ -259,7 +256,7 @@ func New(cfg Config) *Machine {
 		m.Cfg.Trace = true
 	}
 	if cfg.Trace {
-		m.Tracer = trace.NewTracer(cfg.TraceCap)
+		m.Tracer = trace.NewTracer(0)
 		m.Tracer.SetProcessName(trace.PIDSystem, "control plane")
 		m.Tracer.SetThreadName(trace.PIDSystem, 0, "reconfig daemon")
 		// Declare the worker process/thread lanes in O(1); names are
@@ -380,10 +377,6 @@ func (m *Machine) buildShardSpine(cfg Config) {
 	m.Reg = m.regs[0]
 	m.Meter = m.meters[0]
 }
-
-// Sharded reports whether the machine runs as a sharded parallel
-// simulation (Cfg.Shards > 0), even when only one shard resulted.
-func (m *Machine) Sharded() bool { return m.Grp != nil }
 
 // workerLP returns the logical process that owns worker w: its Compute
 // Node's index.
@@ -689,10 +682,6 @@ func (m *Machine) SetPolicy(p rts.Policy) {
 // LiveWorkers returns how many Workers have materialized state.
 func (m *Machine) LiveWorkers() int { return m.census.LiveWorkers() }
 
-// Census exposes the liveness census for hierarchy-aware tooling: which
-// Compute Nodes are still quiescent summary records.
-func (m *Machine) Census() *topo.Census { return m.census }
-
 // machineScheds adapts the machine's lazy schedulers to
 // rts.SchedulerProvider.
 type machineScheds struct{ m *Machine }
@@ -732,21 +721,6 @@ func (m *Machine) Run() sim.Time {
 	}
 	m.Prof.Arm()
 	t := m.Eng.RunUntilIdle()
-	m.Meter.Settle()
-	return t
-}
-
-// RunFor advances simulated time by at most d.
-func (m *Machine) RunFor(d sim.Time) sim.Time {
-	if m.Grp != nil {
-		t := m.Grp.Run(m.Now() + d)
-		for _, mt := range m.meters {
-			mt.Settle()
-		}
-		return t
-	}
-	m.Prof.Arm()
-	t := m.Eng.Run(m.Eng.Now() + d)
 	m.Meter.Settle()
 	return t
 }

@@ -86,18 +86,12 @@ func TestConfigValidateErrors(t *testing.T) {
 }
 
 // The flyweight invariants: construction materializes no Workers, the
-// first touch materializes exactly one, quiescent Compute Nodes stay
-// summary records, and read-only aggregation (Report) wakes nobody.
+// first touch materializes exactly one, and read-only aggregation
+// (Report) wakes nobody.
 func TestMachineLazyMaterialization(t *testing.T) {
 	m := New(DefaultConfig(4, 4))
 	if m.LiveWorkers() != 0 {
 		t.Fatalf("construction materialized %d workers", m.LiveWorkers())
-	}
-	c := m.Census()
-	for cn := 0; cn < m.Tree.NumComputeNodes(); cn++ {
-		if !c.Quiescent(1, cn) {
-			t.Fatalf("compute node %d live before any event", cn)
-		}
 	}
 	s := m.Sched(5)
 	if s.Worker != 5 {
@@ -108,12 +102,6 @@ func TestMachineLazyMaterialization(t *testing.T) {
 	}
 	if m.LiveWorkers() != 1 {
 		t.Fatalf("%d live workers after touching one", m.LiveWorkers())
-	}
-	if c.Quiescent(1, m.Tree.ComputeNodeOf(5)) {
-		t.Error("worker 5's compute node still reads quiescent")
-	}
-	if !c.Quiescent(1, 0) || !c.Quiescent(1, 3) {
-		t.Error("untouched compute nodes lost quiescence")
 	}
 	live := m.LiveWorkers()
 	_ = m.Report()
@@ -176,18 +164,6 @@ func TestDeployKernelAndReport(t *testing.T) {
 	r := m.Report()
 	if !strings.Contains(r, "2 workers") || !strings.Contains(r, "reconfig") {
 		t.Errorf("report missing content:\n%s", r)
-	}
-}
-
-func TestRunForAdvancesClock(t *testing.T) {
-	m := New(DefaultConfig(2, 1))
-	m.Eng.At(10*sim.Microsecond, func() {})
-	end := m.RunFor(5 * sim.Microsecond)
-	if end != 5*sim.Microsecond {
-		t.Errorf("RunFor stopped at %v", end)
-	}
-	if m.Eng.Pending() != 1 {
-		t.Error("future event consumed early")
 	}
 }
 

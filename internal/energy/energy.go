@@ -21,13 +21,8 @@ import (
 // Joules is an energy amount in joules.
 type Joules float64
 
-// Common magnitudes.
-const (
-	Picojoule  Joules = 1e-12
-	Nanojoule  Joules = 1e-9
-	Microjoule Joules = 1e-6
-	Millijoule Joules = 1e-3
-)
+// Picojoule is the magnitude the cost model's per-event energies use.
+const Picojoule Joules = 1e-12
 
 func (j Joules) String() string {
 	switch {
@@ -105,7 +100,7 @@ type StaticLoad struct {
 // static draws as a single block instead of 300k slice entries; Settle
 // replays the pattern repetition-by-repetition so the floating-point
 // accumulation order — and therefore every total, bit for bit — matches
-// what n individual AddStatic calls would have produced.
+// what registering each load of each repetition separately would produce.
 type staticBlock struct {
 	loads []StaticLoad
 	n     int
@@ -128,16 +123,11 @@ func (m *Meter) Charge(category string, e Joules) {
 	m.total += e
 }
 
-// AddStatic registers a constant power draw under the category, integrated
-// from the current simulated time until Settle is called.
-func (m *Meter) AddStatic(category string, p Watts) {
-	m.AddStaticRepeated(1, StaticLoad{Category: category, Power: p})
-}
-
 // AddStaticRepeated registers n identical copies of the load pattern in
-// O(len(pattern)) memory. Equivalent to calling AddStatic for each load
-// of each repetition in pattern-major order, including the exact
-// floating-point accumulation order at Settle time.
+// O(len(pattern)) memory, each a constant power draw integrated from the
+// current simulated time until Settle is called. Settle accumulates the
+// loads in pattern-major order, so the floating-point result is exactly
+// that of registering each load of each repetition separately.
 func (m *Meter) AddStaticRepeated(n int, pattern ...StaticLoad) {
 	if n <= 0 || len(pattern) == 0 {
 		return

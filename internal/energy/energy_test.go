@@ -15,9 +15,9 @@ func TestJoulesString(t *testing.T) {
 		want string
 	}{
 		{2, "2.000J"},
-		{5 * Millijoule, "5.000mJ"},
-		{5 * Microjoule, "5.000uJ"},
-		{5 * Nanojoule, "5.000nJ"},
+		{Joules(5e-3), "5.000mJ"},
+		{Joules(5e-6), "5.000uJ"},
+		{Joules(5e-9), "5.000nJ"},
 		{5 * Picojoule, "5.000pJ"},
 	}
 	for _, c := range cases {
@@ -32,11 +32,11 @@ func TestMeterCharge(t *testing.T) {
 	m := NewMeter(e, DefaultCostModel())
 	m.Charge("cpu", 10*Picojoule)
 	m.Charge("cpu", 5*Picojoule)
-	m.Charge("dram", 1*Nanojoule)
+	m.Charge("dram", 1000*Picojoule)
 	if got := m.Category("cpu"); got != 15*Picojoule {
 		t.Errorf("cpu = %v, want 15pJ", got)
 	}
-	if got := m.Total(); math.Abs(float64(got-(15*Picojoule+1*Nanojoule))) > 1e-18 {
+	if got := m.Total(); math.Abs(float64(got-(15*Picojoule+1000*Picojoule))) > 1e-18 {
 		t.Errorf("Total = %v", got)
 	}
 	cats := m.Categories()
@@ -63,7 +63,7 @@ func TestMeterNegativeChargePanics(t *testing.T) {
 func TestMeterStaticIntegration(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewMeter(e, DefaultCostModel())
-	m.AddStatic("leak", 2.0) // 2 W
+	m.AddStaticRepeated(1, StaticLoad{Category: "leak", Power: 2}) // 2 W
 	e.At(sim.Second, func() {})
 	e.RunUntilIdle()
 	m.Settle()

@@ -62,9 +62,6 @@ func (c *Checkpointer) Start() {
 	c.eng.After(c.Cfg.Interval, c.tick)
 }
 
-// Stop halts ticking.
-func (c *Checkpointer) Stop() { c.running = false }
-
 // Has reports whether w has a completed checkpoint.
 func (c *Checkpointer) Has(w int) bool { _, ok := c.last[w]; return ok }
 
@@ -72,9 +69,6 @@ func (c *Checkpointer) Has(w int) bool { _, ok := c.last[w]; return ok }
 func (c *Checkpointer) LastAt(w int) sim.Time { return c.last[w] }
 
 func (c *Checkpointer) tick() {
-	if !c.running {
-		return
-	}
 	if !c.hooks.Busy() {
 		// Idle machine: stop rather than keep the engine alive forever.
 		c.running = false

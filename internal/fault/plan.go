@@ -11,6 +11,7 @@
 package fault
 
 import (
+	"fmt"
 	"sort"
 
 	"ecoscale/internal/sim"
@@ -136,6 +137,129 @@ type Shape struct {
 	Levels int
 }
 
+// Limits Validate enforces. maxPlanTime bounds every duration and
+// offset so that no sum Schedule forms, nor any exponential draw it adds
+// (at most ~37 MTBFs), can overflow sim.Time; it is about 20 hours of
+// simulated time. maxStochasticEvents bounds the expected size of each
+// stochastic class that its Max* cap leaves unbounded.
+const (
+	maxPlanTime         = sim.Time(1) << 56
+	maxStochasticEvents = 1 << 16
+)
+
+// Validate reports the first reason the plan cannot be scheduled on a
+// machine of the given shape: a negative or oversized time or count, an
+// unknown event kind, an explicit victim outside the shape, or a
+// stochastic class whose expected event count over the horizon exceeds
+// maxStochasticEvents while its Max* cap does not bound it. A nil plan
+// is valid.
+func (p *Plan) Validate(sh Shape) error {
+	if p == nil {
+		return nil
+	}
+	times := []struct {
+		name string
+		t    sim.Time
+	}{
+		{"Start", p.Start}, {"Horizon", p.Horizon},
+		{"WorkerMTBF", p.WorkerMTBF}, {"RegionMTBF", p.RegionMTBF},
+		{"LinkMTBF", p.LinkMTBF}, {"LinkDown", p.LinkDown},
+		{"Checkpoint.Interval", p.Checkpoint.Interval},
+	}
+	for _, f := range times {
+		if err := checkTime(f.name, f.t); err != nil {
+			return err
+		}
+	}
+	counts := []struct {
+		name string
+		n    int
+	}{
+		{"MaxKills", p.MaxKills}, {"MaxRegionFails", p.MaxRegionFails},
+		{"MaxFlaps", p.MaxFlaps}, {"Checkpoint.Bytes", p.Checkpoint.Bytes},
+	}
+	for _, f := range counts {
+		if f.n < 0 {
+			return fmt.Errorf("fault: %s is negative (%d)", f.name, f.n)
+		}
+	}
+	horizon := p.horizon()
+	classes := []struct {
+		name string
+		mtbf sim.Time
+		max  int
+	}{
+		{"Worker deaths", p.WorkerMTBF, p.MaxKills},
+		{"region failures", p.RegionMTBF, p.MaxRegionFails},
+		{"link flaps", p.LinkMTBF, p.MaxFlaps},
+	}
+	for _, c := range classes {
+		if c.mtbf == 0 || (c.max > 0 && c.max <= maxStochasticEvents) {
+			continue
+		}
+		if expected := horizon / c.mtbf; expected > maxStochasticEvents {
+			return fmt.Errorf("fault: %s expect %d events over the %v horizon (MTBF %v), more than %d; raise the MTBF, shorten the horizon or set its Max* cap",
+				c.name, expected, horizon, c.mtbf, maxStochasticEvents)
+		}
+	}
+	for i, e := range p.Events {
+		if err := checkTime(fmt.Sprintf("Events[%d].At", i), e.At); err != nil {
+			return err
+		}
+		if err := checkTime(fmt.Sprintf("Events[%d].Down", i), e.Down); err != nil {
+			return err
+		}
+		if e.Kind < KillWorker || e.Kind > FlapLink {
+			return fmt.Errorf("fault: Events[%d] has unknown kind %d", i, int(e.Kind))
+		}
+		if err := checkVictim(i, "Worker", e.Worker, sh.Workers); err != nil {
+			return err
+		}
+		switch e.Kind {
+		case FailRegion:
+			if err := checkVictim(i, "Row", e.Row, sh.Rows); err != nil {
+				return err
+			}
+			if err := checkVictim(i, "Col", e.Col, sh.Cols); err != nil {
+				return err
+			}
+		case FlapLink:
+			if err := checkVictim(i, "Level", e.Level, sh.Levels); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func checkTime(name string, t sim.Time) error {
+	if t < 0 {
+		return fmt.Errorf("fault: %s is negative (%v)", name, t)
+	}
+	if t > maxPlanTime {
+		return fmt.Errorf("fault: %s %v exceeds the %v limit", name, t, maxPlanTime)
+	}
+	return nil
+}
+
+// checkVictim accepts an explicit victim index inside [0, n), or a
+// negative one that Schedule draws from a non-empty range.
+func checkVictim(i int, field string, v, n int) error {
+	if v >= n || (v < 0 && n <= 0) {
+		return fmt.Errorf("fault: Events[%d].%s %d is outside the machine's %d", i, field, v, n)
+	}
+	return nil
+}
+
+// horizon is the stochastic window Schedule uses: Horizon, or 10ms when
+// unset.
+func (p *Plan) horizon() sim.Time {
+	if p.Horizon <= 0 {
+		return 10 * sim.Millisecond
+	}
+	return p.Horizon
+}
+
 // Per-class seed salts: each fault class gets an independent stream, so
 // e.g. raising the link-flap rate cannot shift which Workers die.
 const (
@@ -147,16 +271,14 @@ const (
 
 // Schedule expands the plan into the concrete, time-sorted fault list
 // for a machine of the given shape. Pure: no engine, no global state —
-// calling it twice yields identical slices.
+// calling it twice yields identical slices. The plan must pass Validate
+// for the shape; otherwise the expansion may be unbounded.
 func (p *Plan) Schedule(sh Shape) []Event {
 	if p.Empty() {
 		return nil
 	}
 	var out []Event
-	horizon := p.Horizon
-	if horizon <= 0 {
-		horizon = 10 * sim.Millisecond
-	}
+	horizon := p.horizon()
 	if p.WorkerMTBF > 0 && sh.Workers > 0 {
 		rng := sim.NewRNG(p.Seed ^ saltKill)
 		t := p.Start

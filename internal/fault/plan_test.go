@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ecoscale/internal/sim"
@@ -163,4 +164,107 @@ func TestInjectorClampsPastEvents(t *testing.T) {
 	if inj.Fired != 1 {
 		t.Errorf("Fired = %d", inj.Fired)
 	}
+}
+
+func TestPlanValidate(t *testing.T) {
+	valid := []*Plan{
+		nil,
+		{},
+		{Seed: 3, Horizon: sim.Second, WorkerMTBF: sim.Microsecond, MaxKills: 7},
+		{Horizon: 65536 * sim.Microsecond, LinkMTBF: sim.Microsecond},
+		{Events: []Event{{Kind: FailRegion, Worker: 15, Row: 7, Col: -1}}},
+	}
+	for i, p := range valid {
+		if err := p.Validate(shape); err != nil {
+			t.Errorf("valid plan %d rejected: %v", i, err)
+		}
+	}
+	bad := []struct {
+		name string
+		p    Plan
+		want string
+	}{
+		{"negative start", Plan{Start: -1}, "Start is negative"},
+		{"negative horizon", Plan{Horizon: -sim.Millisecond}, "Horizon is negative"},
+		{"negative mtbf", Plan{WorkerMTBF: -sim.Millisecond}, "WorkerMTBF is negative"},
+		{"negative link down", Plan{LinkDown: -1}, "LinkDown is negative"},
+		{"negative checkpoint", Plan{Checkpoint: CheckpointConfig{Interval: -1}}, "Checkpoint.Interval is negative"},
+		{"huge start", Plan{Start: maxPlanTime + 1}, "Start"},
+		{"negative cap", Plan{MaxFlaps: -2}, "MaxFlaps is negative"},
+		{"negative snapshot", Plan{Checkpoint: CheckpointConfig{Bytes: -1}}, "Checkpoint.Bytes is negative"},
+		{"unbounded kills", Plan{WorkerMTBF: sim.Nanosecond, Horizon: sim.Millisecond}, "Worker deaths expect 1000000 events"},
+		{"default horizon", Plan{RegionMTBF: 100}, "region failures expect"},
+		{"cap above limit", Plan{LinkMTBF: 1, MaxFlaps: maxStochasticEvents + 1}, "link flaps expect"},
+		{"unknown kind", Plan{Events: []Event{{Kind: FlapLink + 1}}}, "unknown kind"},
+		{"negative event time", Plan{Events: []Event{{At: -5}}}, "Events[0].At is negative"},
+		{"worker outside", Plan{Events: []Event{{Worker: 16}}}, "Events[0].Worker 16"},
+		{"row outside", Plan{Events: []Event{{Kind: FailRegion, Row: 8}}}, "Events[0].Row 8"},
+		{"level outside", Plan{Events: []Event{{Kind: FlapLink, Level: 2}}}, "Events[0].Level 2"},
+	}
+	for _, c := range bad {
+		err := c.p.Validate(shape)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
+		}
+	}
+	// A victim drawn from an empty range is as unschedulable as one
+	// outside it.
+	if err := (&Plan{Events: []Event{{Worker: -1}}}).Validate(Shape{}); err == nil {
+		t.Error("drawn victim on a Worker-less shape accepted")
+	}
+}
+
+// FuzzPlan checks the plan surface: Validate never panics, and a plan it
+// accepts schedules deterministically, in time order, with every victim
+// inside the shape and no stochastic event past the horizon.
+func FuzzPlan(f *testing.F) {
+	f.Add(int64(1), int64(0), int64(sim.Millisecond), int64(100*sim.Microsecond), 0,
+		int64(0), 0, int64(0), 0, int64(0), uint8(16), uint8(8), uint8(2), int64(5), uint8(0), 3, 1, 1)
+	f.Add(int64(9), int64(sim.Millisecond), int64(5*sim.Millisecond), int64(300*sim.Microsecond), 4,
+		int64(200*sim.Microsecond), 6, int64(250*sim.Microsecond), 3, int64(sim.Millisecond),
+		uint8(16), uint8(8), uint8(2), int64(7), uint8(2), -1, -1, -1)
+	f.Add(int64(0), int64(0), int64(sim.Millisecond), int64(sim.Nanosecond), 0,
+		int64(0), 0, int64(0), 0, int64(0), uint8(4), uint8(2), uint8(1), int64(-1), uint8(1), 9, 0, 0)
+	f.Fuzz(func(t *testing.T, seed, start, horizon, wMTBF int64, maxKills int,
+		rMTBF int64, maxRegions int, lMTBF int64, maxFlaps int, down int64,
+		workers, rows, levels uint8, evAt int64, evKind uint8, evWorker, evRow, evLevel int) {
+		sh := Shape{Workers: int(workers % 65), Rows: int(rows % 17), Cols: int(rows % 13), Levels: int(levels % 5)}
+		p := &Plan{
+			Seed: seed, Start: sim.Time(start), Horizon: sim.Time(horizon),
+			WorkerMTBF: sim.Time(wMTBF), MaxKills: maxKills,
+			RegionMTBF: sim.Time(rMTBF), MaxRegionFails: maxRegions,
+			LinkMTBF: sim.Time(lMTBF), LinkDown: sim.Time(down), MaxFlaps: maxFlaps,
+			Events: []Event{{At: sim.Time(evAt), Kind: Kind(evKind % 4), Worker: evWorker,
+				Row: evRow, Col: evRow, Level: evLevel}},
+		}
+		if p.Validate(sh) != nil {
+			return
+		}
+		a := p.Schedule(sh)
+		if !reflect.DeepEqual(a, p.Schedule(sh)) {
+			t.Fatal("same plan produced different schedules")
+		}
+		end := p.Start + p.horizon()
+		for i, e := range a {
+			if i > 0 && e.At < a[i-1].At {
+				t.Fatalf("schedule not time-sorted at %d", i)
+			}
+			if e.Worker < 0 || e.Worker >= sh.Workers {
+				t.Fatalf("%v victim Worker %d outside %d", e.Kind, e.Worker, sh.Workers)
+			}
+			switch e.Kind {
+			case FailRegion:
+				if e.Row < 0 || e.Row >= sh.Rows || e.Col < 0 || e.Col >= sh.Cols {
+					t.Fatalf("region (%d,%d) outside %dx%d", e.Row, e.Col, sh.Rows, sh.Cols)
+				}
+			case FlapLink:
+				if e.Level < 0 || e.Level >= sh.Levels || e.Down <= 0 {
+					t.Fatalf("flap level %d down %v outside %d levels", e.Level, e.Down, sh.Levels)
+				}
+			}
+			if e.At < 0 || (e.At > end && e.At != p.Start+p.Events[0].At) {
+				t.Fatalf("event at %v outside [0, %v]", e.At, end)
+			}
+		}
+	})
 }

@@ -191,22 +191,6 @@ func (c *Cache) InvalidateRange(addr uint64, size int) (dropped, dirty int) {
 	return
 }
 
-// FlushDirty returns the addresses of all dirty lines and marks them
-// clean (the write-back itself is the caller's job).
-func (c *Cache) FlushDirty() []uint64 {
-	var out []uint64
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.valid && l.dirty {
-				out = append(out, c.lineAddr(set, l.tag))
-				l.dirty = false
-			}
-		}
-	}
-	return out
-}
-
 // ValidLines returns the number of valid lines.
 func (c *Cache) ValidLines() int {
 	n := 0

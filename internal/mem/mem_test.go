@@ -96,23 +96,6 @@ func TestCacheInvalidateRange(t *testing.T) {
 	}
 }
 
-func TestCacheFlushDirty(t *testing.T) {
-	c := NewCache(DefaultL2Config())
-	c.Access(0, true)
-	c.Access(64, false)
-	c.Access(128, true)
-	dirty := c.FlushDirty()
-	if len(dirty) != 2 {
-		t.Fatalf("FlushDirty returned %d lines, want 2", len(dirty))
-	}
-	if len(c.FlushDirty()) != 0 {
-		t.Error("second flush found dirty lines")
-	}
-	if c.ValidLines() != 3 {
-		t.Error("flush should not invalidate")
-	}
-}
-
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache(CacheConfig{Sets: 16, Ways: 4})
 	if c.SizeBytes() != 16*4*LineBytes {

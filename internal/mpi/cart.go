@@ -80,82 +80,3 @@ func (ct *Cart) Shift(rank, dim, disp int) (src, dst int) {
 	}
 	return move(-disp), move(disp)
 }
-
-// Neighbors returns the distinct valid neighbour ranks at ±1 along every
-// dimension.
-func (ct *Cart) Neighbors(rank int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for d := range ct.Dims {
-		src, dst := ct.Shift(rank, d, 1)
-		for _, n := range []int{src, dst} {
-			if n >= 0 && n != rank && !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-// Graph is an MPI-3 distributed-graph topology: arbitrary neighbour
-// lists per rank.
-type Graph struct {
-	Comm  *Comm
-	Edges [][]int
-}
-
-// NewGraph builds a graph topology; edges[r] lists rank r's neighbours.
-func NewGraph(c *Comm, edges [][]int) *Graph {
-	if len(edges) != c.Size() {
-		panic("mpi: graph needs one adjacency list per rank")
-	}
-	for r, ns := range edges {
-		for _, n := range ns {
-			if n < 0 || n >= c.Size() {
-				panic(fmt.Sprintf("mpi: rank %d has invalid neighbour %d", r, n))
-			}
-		}
-	}
-	return &Graph{Comm: c, Edges: edges}
-}
-
-// NeighborExchange sends data[r][k] from rank r to its k-th neighbour and
-// collects the symmetric incoming messages; done receives in[r] = list of
-// messages in neighbour order.
-func (g *Graph) NeighborExchange(data [][][]float64, done func(in [][]Message)) {
-	p := g.Comm.Size()
-	in := make([][]Message, p)
-	total := 0
-	for r, ns := range g.Edges {
-		in[r] = make([]Message, len(ns))
-		total += len(ns)
-	}
-	if total == 0 {
-		if done != nil {
-			done(in)
-		}
-		return
-	}
-	wg := 0
-	check := func() {
-		wg++
-		if wg == total && done != nil {
-			done(in)
-		}
-	}
-	for r, ns := range g.Edges {
-		for k, n := range ns {
-			r, k, n := r, k, n
-			g.Comm.Recv(r, n, collectiveTag-400, func(m Message) {
-				in[r][k] = m
-				check()
-			})
-		}
-	}
-	for r, ns := range g.Edges {
-		for k, n := range ns {
-			g.Comm.Send(r, n, collectiveTag-400, data[r][k], nil)
-		}
-	}
-}

@@ -52,19 +52,6 @@ func TestCartShiftEdges(t *testing.T) {
 	}
 }
 
-func TestCartNeighbors(t *testing.T) {
-	_, c := newComm(t, 9)
-	ct := NewCart(c, []int{3, 3}, nil)
-	n := ct.Neighbors(4)
-	if len(n) != 4 {
-		t.Errorf("centre has %d neighbours, want 4: %v", len(n), n)
-	}
-	n = ct.Neighbors(0)
-	if len(n) != 2 {
-		t.Errorf("corner has %d neighbours, want 2: %v", len(n), n)
-	}
-}
-
 func TestCartPanics(t *testing.T) {
 	_, c := newComm(t, 4)
 	for name, fn := range map[string]func(){
@@ -103,54 +90,5 @@ func TestCartBijectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGraphNeighborExchange(t *testing.T) {
-	eng, c := newComm(t, 4)
-	// Ring graph.
-	edges := [][]int{{1, 3}, {2, 0}, {3, 1}, {0, 2}}
-	g := NewGraph(c, edges)
-	data := make([][][]float64, 4)
-	for r := range data {
-		data[r] = [][]float64{{float64(r*10 + edges[r][0])}, {float64(r*10 + edges[r][1])}}
-	}
-	var in [][]Message
-	g.NeighborExchange(data, func(got [][]Message) { in = got })
-	eng.RunUntilIdle()
-	if in == nil {
-		t.Fatal("exchange never completed")
-	}
-	// Rank 0's first neighbour is 1; rank 1 sent 0 its second entry
-	// (data[1][1] = 10*1+0 = 10).
-	if in[0][0].Source != 1 || in[0][0].Data[0] != 10 {
-		t.Errorf("in[0][0] = %+v", in[0][0])
-	}
-}
-
-func TestGraphPanics(t *testing.T) {
-	_, c := newComm(t, 2)
-	for name, fn := range map[string]func(){
-		"wrong len": func() { NewGraph(c, [][]int{{1}}) },
-		"bad edge":  func() { NewGraph(c, [][]int{{5}, {0}}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestGraphEmptyExchange(t *testing.T) {
-	_, c := newComm(t, 2)
-	g := NewGraph(c, [][]int{{}, {}})
-	done := false
-	g.NeighborExchange([][][]float64{{}, {}}, func([][]Message) { done = true })
-	if !done {
-		t.Error("empty exchange did not complete immediately")
 	}
 }

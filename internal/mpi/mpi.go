@@ -6,10 +6,9 @@
 // topology abstractions").
 //
 // It implements ranks bound to Workers, tagged point-to-point messaging
-// with wildcard receive, tree-structured collectives (barrier, broadcast,
-// reduce, allreduce, alltoall) whose traffic travels on the simulated
-// interconnect, and MPI-3-style Cartesian topology helpers used by the
-// stencil workloads.
+// with wildcard receive, tree-structured collectives (broadcast, reduce,
+// allreduce) whose traffic travels on the simulated interconnect, and
+// MPI-3-style Cartesian topology helpers used by the stencil workloads.
 package mpi
 
 import (
@@ -92,9 +91,6 @@ func WorldComm(net *noc.Network) *Comm {
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return len(c.ranks) }
 
-// Worker returns the Worker hosting a rank.
-func (c *Comm) Worker(rank int) int { return c.ranks[rank] }
-
 // Sends returns the total point-to-point message count (including those
 // issued by collectives).
 func (c *Comm) Sends() uint64 { return c.sends }
@@ -171,58 +167,10 @@ func (c *Comm) SendRecv(a, b, tag int, dataA, dataB []float64, done func(atA, at
 // Op is a reduction operator.
 type Op func(a, b float64) float64
 
-// Built-in reduction operators.
-var (
-	OpSum  Op = func(a, b float64) float64 { return a + b }
-	OpProd Op = func(a, b float64) float64 { return a * b }
-	OpMax  Op = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin Op = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
+// OpSum is the summing reduction operator.
+var OpSum Op = func(a, b float64) float64 { return a + b }
 
 const collectiveTag = -1000
-
-// Barrier synchronizes all ranks with a dissemination barrier
-// (ceil(log2 P) rounds); done fires when every rank has passed it.
-func (c *Comm) Barrier(done func()) {
-	p := len(c.ranks)
-	if p == 1 {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	rounds := 0
-	for 1<<rounds < p {
-		rounds++
-	}
-	var runRound func(k int)
-	runRound = func(k int) {
-		if k == rounds {
-			if done != nil {
-				done()
-			}
-			return
-		}
-		wg := sim.NewWaitGroup(c.net.Engine(), p)
-		for r := 0; r < p; r++ {
-			dst := (r + (1 << k)) % p
-			c.Send(r, dst, collectiveTag-k, nil, nil)
-			c.Recv(dst, (dst-(1<<k)%p+p)%p, collectiveTag-k, func(Message) { wg.DoneOne() })
-		}
-		wg.Wait(func() { runRound(k + 1) })
-	}
-	runRound(0)
-}
 
 // Bcast distributes root's data to all ranks along a binomial tree; done
 // receives the per-rank copies.
@@ -331,53 +279,5 @@ func (c *Comm) Reduce(root int, contrib [][]float64, op Op, done func(result []f
 func (c *Comm) Allreduce(contrib [][]float64, op Op, done func(perRank [][]float64)) {
 	c.Reduce(0, contrib, op, func(result []float64) {
 		c.Bcast(0, result, done)
-	})
-}
-
-// Alltoall delivers send[i][j] (rank i's message for rank j) to
-// recv[j][i]; done receives the transposed matrix.
-func (c *Comm) Alltoall(send [][][]float64, done func(recv [][][]float64)) {
-	p := len(c.ranks)
-	if len(send) != p {
-		panic("mpi: alltoall needs one row per rank")
-	}
-	recv := make([][][]float64, p)
-	for i := range recv {
-		recv[i] = make([][]float64, p)
-	}
-	total := 0
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i != j {
-				total++
-			} else {
-				recv[i][i] = send[i][i]
-			}
-		}
-	}
-	if total == 0 {
-		if done != nil {
-			done(recv)
-		}
-		return
-	}
-	wg := sim.NewWaitGroup(c.net.Engine(), total)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i == j {
-				continue
-			}
-			i, j := i, j
-			c.Recv(j, i, collectiveTag-300, func(m Message) {
-				recv[j][i] = m.Data
-				wg.DoneOne()
-			})
-			c.Send(i, j, collectiveTag-300, send[i][j], nil)
-		}
-	}
-	wg.Wait(func() {
-		if done != nil {
-			done(recv)
-		}
 	})
 }

@@ -243,13 +243,13 @@ func TestConfigMismatchPanics(t *testing.T) {
 
 func TestNonTreeTopologyUniformModel(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := topo.NewDragonfly(2, 2, 1)
+	d := topo.Flat{Workers: 8}
 	n := NewNetwork(eng, d, DefaultConfig(d.MaxHops()), nil, nil)
 	var arrived sim.Time
 	n.Send(0, d.NumWorkers()-1, 64, Store, func() { arrived = eng.Now() })
 	eng.RunUntilIdle()
 	if arrived == 0 {
-		t.Error("dragonfly send did not take time")
+		t.Error("flat send did not take time")
 	}
 	if arrived != n.Latency(0, d.NumWorkers()-1, 64) {
 		t.Error("uniform model should match analytic latency")

@@ -128,15 +128,6 @@ func (n *Network) ForLP(lp int32) *Network {
 // sharded; report merging sums them).
 func (n *Network) Reg() *trace.Registry { return n.reg }
 
-// WorkerLP returns the logical process (Compute Node index) that owns
-// worker w's state on a sharded network; 0 on legacy networks.
-func (n *Network) WorkerLP(w int) int32 {
-	if n.grp == nil {
-		return 0
-	}
-	return n.lpOfWorker(w)
-}
-
 // Running reports whether a sharded Run is in progress. Legacy networks
 // always report false: any scheduling is legal there.
 func (n *Network) Running() bool { return n.grp != nil && n.grp.Running() }

@@ -1,16 +1,12 @@
 // Package ocl is the ECOSCALE programming environment of §4.2/§4.4: an
-// OpenCL-flavoured host API extended with the paper's three runtime
-// extensions — (1) PGAS data scoping (buffers are placed in, migrated
-// between, and cached at specific Workers' NUMA domains), (2) scalable
+// OpenCL-flavoured host API extended with the paper's runtime
+// extensions — (1) PGAS data scoping (a buffer's pages are placed in one
+// Worker's NUMA domain or interleaved across all of them), (2) scalable
 // data movement through direct loads/stores to remote shared memory
 // rather than explicit device copies, and (3) functions that "can be
 // synthesized in hardware and can be accelerated, on-demand, at runtime"
 // — an enqueued kernel is dispatched by the runtime scheduler to a CPU
 // or a reconfigurable block according to its policy.
-//
-// It also provides the distributed command queues of §4.4: an NDRange
-// enqueue fans work out across the Workers of the machine along the
-// buffers' data placement.
 package ocl
 
 import (
@@ -41,9 +37,6 @@ type Context struct {
 	p *Platform
 }
 
-// Machine returns the underlying machine.
-func (c *Context) Machine() *core.Machine { return c.p.M }
-
 // Placement selects where a buffer's pages live.
 type Placement int
 
@@ -62,9 +55,6 @@ type Buffer struct {
 	addr  uint64
 	Elems int
 }
-
-// Addr returns the buffer's base global address.
-func (b *Buffer) Addr() uint64 { return b.addr }
 
 // Bytes returns the buffer size in bytes.
 func (b *Buffer) Bytes() int { return b.Elems * 8 }
@@ -101,8 +91,8 @@ func (c *Context) CreateBuffer(elems int, place Placement, worker int) *Buffer {
 	}
 }
 
-// Poke writes host data into the buffer with no simulated cost (test
-// setup); Write is the timed path.
+// Poke writes host data into the buffer with no simulated cost; kernels
+// pay for their own loads and stores when they run.
 func (b *Buffer) Poke(host []float64) {
 	if len(host) > b.Elems {
 		panic("ocl: host slice larger than buffer")
@@ -124,74 +114,10 @@ func (b *Buffer) Peek() []float64 {
 	return out
 }
 
-// Write streams host data into the buffer from the given Worker,
-// returning an event that fires at completion.
-func (b *Buffer) Write(fromWorker int, host []float64, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		b.Poke(host)
-		data := make([]byte, len(host)*8)
-		for i, v := range host {
-			binary.LittleEndian.PutUint64(data[i*8:], math.Float64bits(v))
-		}
-		b.ctx.p.M.Space.StreamWrite(fromWorker, b.addr, data, 8, func() { ev.complete(nil) })
-	})
-	return ev
-}
-
-// Read streams the buffer to the given Worker; the event's Data holds
-// the values.
-func (b *Buffer) Read(toWorker int, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		b.ctx.p.M.Space.StreamRead(toWorker, b.addr, b.Bytes(), 8, func() {
-			ev.Data = b.Peek()
-			ev.complete(nil)
-		})
-	})
-	return ev
-}
-
-// Replicate copies the buffer's pages (read-only) into a Worker's DRAM
-// — the implicit data replication of §4.4 for read-mostly operands. A
-// later write through the space tears the replicas down.
-func (b *Buffer) Replicate(atWorker int, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		space := b.ctx.p.M.Space
-		pageB := uint64(space.PageBytes())
-		pages := (uint64(b.Bytes()) + pageB - 1) / pageB
-		wg := sim.NewWaitGroup(b.ctx.p.M.Eng, int(pages))
-		for p := uint64(0); p < pages; p++ {
-			space.Replicate(b.addr+p*pageB, atWorker, wg.DoneOne)
-		}
-		wg.Wait(func() { ev.complete(nil) })
-	})
-	return ev
-}
-
-// Migrate moves the buffer's pages to a Worker's DRAM (the implicit
-// data migration of §4.4), page by page.
-func (b *Buffer) Migrate(toWorker int, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		space := b.ctx.p.M.Space
-		pageB := uint64(space.PageBytes())
-		pages := (uint64(b.Bytes()) + pageB - 1) / pageB
-		wg := sim.NewWaitGroup(b.ctx.p.M.Eng, int(pages))
-		for p := uint64(0); p < pages; p++ {
-			space.MigratePage(b.addr+p*pageB, toWorker, wg.DoneOne)
-		}
-		wg.Wait(func() { ev.complete(nil) })
-	})
-	return ev
-}
-
 // Event is an OpenCL-style completion handle.
 type Event struct {
-	sig  *sim.Signal
-	Err  error
-	Data []float64
+	sig *sim.Signal
+	Err error
 }
 
 func newEvent(eng *sim.Engine) *Event { return &Event{sig: sim.NewSignal(eng)} }
@@ -203,11 +129,6 @@ func (e *Event) complete(err error) {
 
 // Done reports whether the event has completed.
 func (e *Event) Done() bool { return e.sig.Done() }
-
-// OnComplete registers a callback.
-func (e *Event) OnComplete(fn func(*Event)) {
-	e.sig.Wait(func() { fn(e) })
-}
 
 // after runs fn once all deps complete (immediately when none).
 func after(deps []*Event, fn func()) {
@@ -419,57 +340,4 @@ func estimateStats(k *hls.Kernel, bufs []*Buffer, bindings map[string]float64) (
 		}
 	}
 	return hls.Run(k, vals)
-}
-
-// EnqueueNDRange splits an elementwise kernel across every Worker: the
-// distributed command queues of §4.4. The kernel must follow the
-// convention (global buffers ..., int N): each Worker receives a
-// contiguous chunk as sub-buffer views. Buffers must all have at least
-// n elements.
-func (c *Context) EnqueueNDRange(prog *Program, kernel string, n int, args []Arg, deps []*Event) *Event {
-	ev := newEvent(c.p.M.Eng)
-	k, ok := prog.Kernels[kernel]
-	if !ok {
-		ev.complete(fmt.Errorf("ocl: unknown kernel %q", kernel))
-		return ev
-	}
-	workers := c.p.M.Workers()
-	events := make([]*Event, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		if lo == hi {
-			continue
-		}
-		sub := make([]Arg, len(args))
-		for i, p := range k.Params {
-			if p.IsBuffer {
-				b := args[i].Buf
-				if b == nil || b.Elems < n {
-					ev.complete(fmt.Errorf("ocl: buffer arg %d too small for NDRange %d", i, n))
-					return ev
-				}
-				sub[i] = BufArg(&Buffer{ctx: c, addr: b.addr + uint64(lo*8), Elems: hi - lo})
-			} else if p.Name == "N" {
-				sub[i] = ScalarArg(float64(hi - lo))
-			} else {
-				sub[i] = args[i]
-			}
-		}
-		events = append(events, c.CreateQueue(w).EnqueueKernel(prog, kernel, sub, deps))
-	}
-	if len(events) == 0 {
-		ev.complete(nil)
-		return ev
-	}
-	after(events, func() {
-		for _, e := range events {
-			if e.Err != nil {
-				ev.complete(e.Err)
-				return
-			}
-		}
-		ev.complete(nil)
-	})
-	return ev
 }

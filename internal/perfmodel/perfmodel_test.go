@@ -136,108 +136,6 @@ func TestRegressionProperty(t *testing.T) {
 	}
 }
 
-func TestPCARecoverDirection(t *testing.T) {
-	// Points on a line y=2x plus tiny noise: first PC ≈ (1,2)/√5.
-	rng := sim.NewRNG(4)
-	var x [][]float64
-	for i := 0; i < 300; i++ {
-		a := rng.NormFloat64()
-		x = append(x, []float64{a + 0.01*rng.NormFloat64(), 2*a + 0.01*rng.NormFloat64()})
-	}
-	p, err := FitPCA(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := p.Components[0]
-	want := []float64{1 / math.Sqrt(5), 2 / math.Sqrt(5)}
-	dot := c[0]*want[0] + c[1]*want[1]
-	if math.Abs(math.Abs(dot)-1) > 1e-3 {
-		t.Errorf("first PC %v not aligned with (1,2): |dot|=%v", c, math.Abs(dot))
-	}
-	if len(p.Variances) >= 2 && p.Variances[1] > p.Variances[0]*0.01 {
-		t.Errorf("second PC variance %v should be tiny vs %v", p.Variances[1], p.Variances[0])
-	}
-}
-
-func TestPCAProject(t *testing.T) {
-	x := [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	p, err := FitPCA(x, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Projection of the mean is 0; points spread symmetrically.
-	proj := p.Project([]float64{1.5, 1.5})
-	if math.Abs(proj[0]) > 1e-9 {
-		t.Errorf("mean projects to %v, want 0", proj[0])
-	}
-	a := p.Project([]float64{0, 0})[0]
-	b := p.Project([]float64{3, 3})[0]
-	if math.Abs(a+b) > 1e-9 {
-		t.Errorf("symmetric points project to %v, %v", a, b)
-	}
-}
-
-func TestPCAErrors(t *testing.T) {
-	if _, err := FitPCA(nil, 1); err == nil {
-		t.Error("empty PCA should error")
-	}
-	if _, err := FitPCA([][]float64{{1, 2}}, 3); err == nil {
-		t.Error("k > d should error")
-	}
-	if _, err := FitPCA([][]float64{{1}, {1}, {1}}, 1); err == nil {
-		t.Error("zero-variance data should error")
-	}
-	if _, err := FitPCA([][]float64{{1, 2}, {3}}, 1); err == nil {
-		t.Error("ragged rows should error")
-	}
-}
-
-func TestSVMSeparable(t *testing.T) {
-	// Separable: class +1 when x0 + x1 > 10.
-	rng := sim.NewRNG(5)
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 400; i++ {
-		a, b := rng.Float64()*10, rng.Float64()*10
-		x = append(x, []float64{a, b})
-		if a+b > 10 {
-			y = append(y, 1)
-		} else {
-			y = append(y, -1)
-		}
-	}
-	var s SVM
-	if err := s.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i := range x {
-		if s.Predict(x[i]) == y[i] {
-			correct++
-		}
-	}
-	acc := float64(correct) / float64(len(x))
-	if acc < 0.95 {
-		t.Errorf("training accuracy %.2f too low for separable data", acc)
-	}
-	if s.Predict([]float64{9, 9}) != 1 || s.Predict([]float64{1, 1}) != -1 {
-		t.Error("obvious points misclassified")
-	}
-}
-
-func TestSVMErrors(t *testing.T) {
-	var s SVM
-	if err := s.Fit(nil, nil); err == nil {
-		t.Error("empty SVM fit should error")
-	}
-	if err := s.Fit([][]float64{{1}}, []float64{0.5}); err == nil {
-		t.Error("non ±1 labels should error")
-	}
-	if err := s.Fit([][]float64{{1}, {2, 3}}, []float64{1, -1}); err == nil {
-		t.Error("ragged SVM rows should error")
-	}
-}
-
 func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5; x - y = 1 → x=2, y=1.
 	x, err := solve([][]float64{{2, 1}, {1, -1}}, []float64{5, 1})

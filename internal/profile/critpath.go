@@ -63,11 +63,6 @@ func (c Category) String() string {
 	}
 }
 
-// Categories returns the non-idle categories in report order.
-func Categories() []Category {
-	return []Category{Compute, Reconfig, Coherence, NoC, Queue, Runtime}
-}
-
 // categoryOf maps a span's trace category to a profiler category and an
 // attribution priority (higher wins when spans overlap: actual work
 // explains elapsed time better than the waiting layered around it).

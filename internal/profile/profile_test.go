@@ -143,19 +143,17 @@ func TestEmitCounterTracks(t *testing.T) {
 	tr.Add(span(trace.CatCompute, 0, 50, "k", 1))
 	tr.Add(span(trace.CatCompute, 50, 80, "k", 1)) // back-to-back: no dip to 0 spike at 50
 	EmitCounterTracks(tr)
-	cs := tr.CounterSamples()
-	if len(cs) != 3 {
-		t.Fatalf("%d samples, want 3 (0→1, 50→1, 80→0)", len(cs))
-	}
-	if cs[1].At != 50 || cs[1].Value != 1 {
-		t.Errorf("coalesced sample at 50: %+v", cs[1])
-	}
 	var b strings.Builder
 	if err := tr.WriteChrome(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `"ph":"C"`) {
-		t.Error("export missing counter events")
+	out := b.String()
+	if n := strings.Count(out, `"ph":"C"`); n != 3 {
+		t.Fatalf("%d counter samples exported, want 3 (0→1, 50→1, 80→0)", n)
+	}
+	// 50 ps is 5e-05 µs in the Chrome trace's microsecond timestamps.
+	if !strings.Contains(out, `"ph":"C","ts":0.00005,"pid":1,"args":{"value":1}`) {
+		t.Errorf("coalesced sample at 50 missing from export:\n%s", out)
 	}
 }
 

@@ -33,6 +33,21 @@ type rig struct {
 	addr   uint64
 }
 
+// managers and scheds are eager providers over slices, standing in for
+// a machine's lazily materialized Workers.
+type managers []*accel.Manager
+
+func (p managers) NumWorkers() int                  { return len(p) }
+func (p managers) Manager(w int) *accel.Manager     { return p[w] }
+func (p managers) PeekManager(w int) *accel.Manager { return p[w] }
+func (p managers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
+
+type scheds []*Scheduler
+
+func (p scheds) NumWorkers() int            { return len(p) }
+func (p scheds) Sched(w int) *Scheduler     { return p[w] }
+func (p scheds) PeekSched(w int) *Scheduler { return p[w] }
+
 func newRig(t testing.TB, workers int) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -54,7 +69,7 @@ func newRig(t testing.TB, workers int) *rig {
 		}
 		mgrs = append(mgrs, m)
 	}
-	domain := unilogic.NewDomain(tr, mgrs, eng)
+	domain := unilogic.NewDomainFrom(tr, managers(mgrs), eng)
 	r := &rig{eng: eng, net: net, space: space, meter: meter, domain: domain}
 	for w := 0; w < workers; w++ {
 		r.scheds = append(r.scheds, NewScheduler(w, domain, eng, meter))

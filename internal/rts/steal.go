@@ -59,13 +59,6 @@ type SchedulerProvider interface {
 	PeekSched(w int) *Scheduler
 }
 
-// staticScheds adapts an eager scheduler slice to SchedulerProvider.
-type staticScheds []*Scheduler
-
-func (p staticScheds) NumWorkers() int            { return len(p) }
-func (p staticScheds) Sched(w int) *Scheduler     { return p[w] }
-func (p staticScheds) PeekSched(w int) *Scheduler { return p[w] }
-
 // Cluster couples the per-Worker schedulers with a stealing strategy.
 type Cluster struct {
 	Kind BalanceKind
@@ -95,15 +88,6 @@ type Cluster struct {
 	FailProbes uint64 // probes that found nothing to steal
 }
 
-// NewCluster wires schedulers into a balancing cluster.
-func NewCluster(kind BalanceKind, scheds []*Scheduler, net *noc.Network) *Cluster {
-	c := NewClusterFrom(kind, staticScheds(scheds), net)
-	for _, s := range scheds {
-		c.Attach(s)
-	}
-	return c
-}
-
 // NewClusterFrom wires a scheduler provider into a balancing cluster.
 // The caller must Attach each scheduler as it comes into existence so
 // idle events reach the balancer.
@@ -130,9 +114,6 @@ func (c *Cluster) Attach(s *Scheduler) {
 		s.idleCb = func() { c.onIdle(s) }
 	}
 }
-
-// NumWorkers returns the cluster's Worker count.
-func (c *Cluster) NumWorkers() int { return c.prov.NumWorkers() }
 
 // queueLen reads worker w's queue depth without materializing it.
 func (c *Cluster) queueLen(w int) int {

@@ -80,9 +80,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of tokens currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of callers waiting for a token.
-func (r *Resource) QueueLen() int { return r.wlen }
-
 // tickBusy folds the interval since the last occupancy change into the
 // busy-time integral. Must be called before every inUse change.
 func (r *Resource) tickBusy() {
@@ -370,58 +367,4 @@ func (w *WaitGroup) WaitCall(fn func(any), arg any) {
 		w.sig.Fire()
 	}
 	w.sig.WaitCall(fn, arg)
-}
-
-// FIFO is an unbounded queue with blocking-style Pop: if the queue is
-// empty, the consumer callback is parked until an item arrives.
-type FIFO[T any] struct {
-	items   []T
-	poppers []func(T)
-	maxLen  int
-}
-
-// NewFIFO returns an empty queue.
-func NewFIFO[T any]() *FIFO[T] { return &FIFO[T]{} }
-
-// Len returns the number of queued items.
-func (f *FIFO[T]) Len() int { return len(f.items) }
-
-// MaxLen returns the maximum observed queue length.
-func (f *FIFO[T]) MaxLen() int { return f.maxLen }
-
-// Push enqueues an item, delivering it directly to a parked consumer when
-// one exists.
-func (f *FIFO[T]) Push(item T) {
-	if len(f.poppers) > 0 {
-		p := f.poppers[0]
-		f.poppers = f.poppers[1:]
-		p(item)
-		return
-	}
-	f.items = append(f.items, item)
-	if len(f.items) > f.maxLen {
-		f.maxLen = len(f.items)
-	}
-}
-
-// Pop delivers the oldest item to fn, parking fn if the queue is empty.
-func (f *FIFO[T]) Pop(fn func(T)) {
-	if len(f.items) > 0 {
-		item := f.items[0]
-		f.items = f.items[1:]
-		fn(item)
-		return
-	}
-	f.poppers = append(f.poppers, fn)
-}
-
-// TryPop delivers the oldest item if one exists and reports whether it did.
-func (f *FIFO[T]) TryPop(fn func(T)) bool {
-	if len(f.items) == 0 {
-		return false
-	}
-	item := f.items[0]
-	f.items = f.items[1:]
-	fn(item)
-	return true
 }

@@ -47,14 +47,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
@@ -81,21 +73,4 @@ func (r *RNG) ExpFloat64() float64 {
 		}
 		return -math.Log(u)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Fork returns a new generator whose stream is derived from this one, for
-// giving independent deterministic streams to sub-components.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(int64(r.Uint64()))
 }

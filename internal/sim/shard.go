@@ -159,9 +159,6 @@ func (e *Engine) SetupLP(lp int32) {
 	e.curLP = lp
 }
 
-// NLPs returns the number of logical processes.
-func (g *Group) NLPs() int { return len(g.lpShard) }
-
 // Lookahead returns the conservative horizon L.
 func (g *Group) Lookahead() Time { return g.lookahead }
 

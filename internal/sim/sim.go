@@ -29,7 +29,6 @@ type Time int64
 
 // Common durations.
 const (
-	Picosecond  Time = 1
 	Nanosecond  Time = 1000
 	Microsecond Time = 1000 * Nanosecond
 	Millisecond Time = 1000 * Microsecond
@@ -121,15 +120,14 @@ func heLess(a, b heapEntry) bool {
 // is modelled by interleaved events, not goroutines), which is what makes
 // runs reproducible.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []heapEntry
-	arena   []eventSlot
-	free    []int32
-	live    int // scheduled, not yet fired or cancelled
-	ran     uint64
-	stopped bool
-	rng     *RNG
+	now   Time
+	seq   uint64
+	heap  []heapEntry
+	arena []eventSlot
+	free  []int32
+	live  int // scheduled, not yet fired or cancelled
+	ran   uint64
+	rng   *RNG
 
 	useFree *useOp // resource.go: pooled Use/UseCall operations
 
@@ -180,10 +178,6 @@ func (e *Engine) Now() Time { return e.now }
 // LP's causal chain is running, and is what Post uses as the message
 // source.
 func (e *Engine) CurLP() int32 { return e.curLP }
-
-// Group returns the shard group this engine belongs to, or nil for a
-// standalone engine.
-func (e *Engine) Group() *Group { return e.grp }
 
 // NextAt returns the time of the earliest live pending event, or Forever
 // when none remain.
@@ -311,9 +305,6 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // push inserts an entry into the 4-ary min-heap.
 func (e *Engine) push(he heapEntry) {
 	q := append(e.heap, he)
@@ -409,12 +400,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains, Stop is called, or the next
-// event would be after deadline (use Forever for no deadline). It returns
-// the final simulated time.
+// Run fires events until the queue drains or the next event would be
+// after deadline (use Forever for no deadline). It returns the final
+// simulated time.
 func (e *Engine) Run(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		e.prune()
 		if len(e.heap) == 0 || e.heap[0].at > deadline {
 			break

@@ -130,20 +130,6 @@ func TestEngineCancelAfterFire(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	e.At(1, func() { n++; e.Stop() })
-	e.At(2, func() { n++ })
-	e.Run(Forever)
-	if n != 1 {
-		t.Errorf("ran %d events after Stop, want 1", n)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestEngineDeadline(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time
@@ -386,60 +372,6 @@ func TestWaitGroupOverCompletePanics(t *testing.T) {
 	wg.DoneOne()
 }
 
-func TestFIFO(t *testing.T) {
-	f := NewFIFO[int]()
-	var got []int
-	f.Push(1)
-	f.Push(2)
-	f.Pop(func(v int) { got = append(got, v) })
-	f.Pop(func(v int) { got = append(got, v) })
-	f.Pop(func(v int) { got = append(got, v) }) // parks
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2] so far", got)
-	}
-	f.Push(3)
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("parked popper not served: %v", got)
-	}
-	if f.MaxLen() != 2 {
-		t.Errorf("MaxLen = %d, want 2", f.MaxLen())
-	}
-	if f.TryPop(func(int) {}) {
-		t.Error("TryPop on empty returned true")
-	}
-	f.Push(4)
-	popped := false
-	if !f.TryPop(func(v int) { popped = v == 4 }) || !popped {
-		t.Error("TryPop failed to deliver 4")
-	}
-}
-
-// Property: FIFO preserves order for any push/pop interleaving.
-func TestFIFOOrderProperty(t *testing.T) {
-	prop := func(vals []int) bool {
-		f := NewFIFO[int]()
-		var got []int
-		for _, v := range vals {
-			f.Push(v)
-		}
-		for range vals {
-			f.Pop(func(v int) { got = append(got, v) })
-		}
-		if len(got) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(123), NewRNG(123)
 	for i := 0; i < 1000; i++ {
@@ -523,37 +455,5 @@ func TestRNGExpMean(t *testing.T) {
 	mean := sum / float64(n)
 	if mean < 0.95 || mean > 1.05 {
 		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-}
-
-// Property: Perm always returns a permutation of [0,n).
-func TestRNGPermProperty(t *testing.T) {
-	r := NewRNG(13)
-	prop := func(nRaw uint8) bool {
-		n := int(nRaw % 100)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRNGFork(t *testing.T) {
-	r := NewRNG(1)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Error("forked streams start identically")
 	}
 }

@@ -14,7 +14,6 @@
 package smmu
 
 import (
-	"errors"
 	"fmt"
 
 	"ecoscale/internal/sim"
@@ -130,13 +129,6 @@ type tlbEntry struct {
 	valid   bool
 }
 
-// FaultHandler is the OS/hypervisor demand-mapping hook: invoked on a
-// translation fault, it may install the missing mapping and return true
-// to have the access retried. HandlerLatency models the OS round trip.
-// This is the "intervention of the OS (or the hypervisor)" of §4.1 that
-// the SMMU makes rare rather than per-access.
-type FaultHandler func(f *Fault) bool
-
 // SMMU is a dual-stage system MMU with a unified TLB.
 //
 // Two flyweight mechanisms keep an idle SMMU small: the TLB array is
@@ -154,10 +146,7 @@ type SMMU struct {
 	tlb      []tlbEntry
 	clock    uint64
 
-	handler        FaultHandler
-	HandlerLatency sim.Time
-
-	hits, misses, faults, handled uint64
+	hits, misses, faults uint64
 }
 
 // New creates an SMMU.
@@ -219,13 +208,6 @@ func (s *SMMU) BindContext(streamID, asid, vmid int) {
 	s.contexts[streamID] = context{asid: asid, vmid: vmid}
 }
 
-// UnbindContext removes a stream's context bank; subsequent accesses
-// fault with FaultNoContext.
-func (s *SMMU) UnbindContext(streamID int) {
-	delete(s.contexts, streamID)
-	s.invalidateTLB(func(e *tlbEntry) bool { return e.stream == streamID })
-}
-
 // MapStage1 installs a VA→IPA mapping for an ASID.
 func (s *SMMU) MapStage1(asid int, va, ipa uint64, perm Perm) {
 	if s.offOf(va) != 0 || s.offOf(ipa) != 0 {
@@ -263,39 +245,11 @@ func (s *SMMU) MapStage2(vmid int, ipa, pa uint64, perm Perm) {
 	})
 }
 
-// MapIdentity2 identity-maps IPA page range [base, base+n pages) for the
-// VMID — the common "hypervisor gives the OS real memory" setup.
-func (s *SMMU) MapIdentity2(vmid int, base uint64, pages int, perm Perm) {
-	for i := 0; i < pages; i++ {
-		ipa := base + uint64(i)*s.PageSize()
-		s.MapStage2(vmid, ipa, ipa, perm)
-	}
-}
-
-// UnmapStage1 removes a VA mapping.
-func (s *SMMU) UnmapStage1(asid int, va uint64) {
-	s.ownTables()
-	if m, ok := s.stage1[asid]; ok {
-		delete(m, s.pageOf(va))
-	}
-	s.invalidateTLB(func(e *tlbEntry) bool {
-		c, ok := s.contexts[e.stream]
-		return ok && c.asid == asid && e.vaPage == s.pageOf(va)
-	})
-}
-
 func (s *SMMU) invalidateTLB(match func(*tlbEntry) bool) {
 	for i := range s.tlb {
 		if s.tlb[i].valid && match(&s.tlb[i]) {
 			s.tlb[i].valid = false
 		}
-	}
-}
-
-// InvalidateAll flushes the whole TLB.
-func (s *SMMU) InvalidateAll() {
-	for i := range s.tlb {
-		s.tlb[i].valid = false
 	}
 }
 
@@ -380,40 +334,10 @@ func (s *SMMU) Latency(hit bool) sim.Time {
 	return s.cfg.TLBHitLatency + sim.Time(levels)*s.cfg.WalkLevelLatency
 }
 
-// SetFaultHandler installs the demand-mapping hook used by
-// TranslateTimed; nil disables retry.
-func (s *SMMU) SetFaultHandler(h FaultHandler) {
-	s.handler = h
-	if s.HandlerLatency == 0 {
-		s.HandlerLatency = 3 * sim.Microsecond // OS fault round trip
-	}
-}
-
-// Handled returns how many faults the handler resolved.
-func (s *SMMU) Handled() uint64 { return s.handled }
-
 // TranslateTimed performs a translation and schedules done with its
-// result after the appropriate TLB-hit or table-walk latency. On a
-// fault, an installed handler gets one chance (per fault, at OS-handler
-// latency) to map the page and retry — demand paging for user-level
-// accelerator access.
+// result after the appropriate TLB-hit or table-walk latency.
 func (s *SMMU) TranslateTimed(eng *sim.Engine, streamID int, va uint64, access Perm, done func(Result, error)) {
 	res, err := s.Translate(streamID, va, access)
-	if err != nil && s.handler != nil {
-		var f *Fault
-		if errors.As(err, &f) && s.handler(f) {
-			s.handled++
-			eng.After(s.HandlerLatency, func() {
-				res2, err2 := s.Translate(streamID, va, access)
-				eng.After(s.Latency(err2 == nil && res2.TLBHit), func() {
-					if done != nil {
-						done(res2, err2)
-					}
-				})
-			})
-			return
-		}
-	}
 	eng.After(s.Latency(err == nil && res.TLBHit), func() {
 		if done != nil {
 			done(res, err)

@@ -1,74 +1,35 @@
 package topo
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Census tracks which Workers of a Tree are live — have had per-worker
-// state materialized by some event — and aggregates liveness up the
-// hierarchy. It is the bookkeeping behind the flyweight machine model: a
-// quiescent subtree (a compute node, chassis, … with zero live workers)
-// stays a single summary record, and aggregate queries answer for it in
-// O(1) without waking anything. A few bytes per worker plus one counter
-// per group keeps the census itself cheap at 100k+ workers.
+// state materialized by some event. It is the bookkeeping behind the
+// flyweight machine model: a Worker no event has touched costs one flag
+// here and nothing elsewhere.
 //
-// All counters are atomic so a sharded machine, whose Workers
+// The flags and the total are atomic so a sharded machine, whose Workers
 // materialize concurrently on different shard goroutines, can share one
 // census. A worker's live flag is only ever set from the shard that owns
-// it; the aggregate counters take concurrent increments from all shards.
+// it; the total takes concurrent increments from all shards.
 type Census struct {
-	tree *Tree
-	live []atomic.Bool
-	// counts[level][group] = live workers under the level-level unit
-	// `group`, for levels 1..Levels()-1 (level 0 is the worker itself,
-	// answered by the live slice).
-	counts [][]atomic.Int64
-	total  atomic.Int64
+	tree  *Tree
+	live  []atomic.Bool
+	total atomic.Int64
 }
 
 // NewCensus returns an all-quiescent census over the tree.
 func NewCensus(t *Tree) *Census {
-	c := &Census{tree: t, live: make([]atomic.Bool, t.NumWorkers())}
-	c.counts = make([][]atomic.Int64, t.Levels())
-	for level := 1; level < t.Levels(); level++ {
-		c.counts[level] = make([]atomic.Int64, t.NumWorkers()/t.GroupSize(level))
-	}
-	return c
+	return &Census{tree: t, live: make([]atomic.Bool, t.NumWorkers())}
 }
 
-// MarkLive records worker w as live, updating every enclosing group's
-// count. It reports whether w was newly marked (false when already live).
-func (c *Census) MarkLive(w int) bool {
+// MarkLive records worker w as live; marking a live worker again is a
+// no-op.
+func (c *Census) MarkLive(w int) {
 	c.tree.checkWorker(w)
-	if !c.live[w].CompareAndSwap(false, true) {
-		return false
+	if c.live[w].CompareAndSwap(false, true) {
+		c.total.Add(1)
 	}
-	c.total.Add(1)
-	for level := 1; level < c.tree.Levels(); level++ {
-		c.counts[level][c.tree.GroupOf(level, w)].Add(1)
-	}
-	return true
-}
-
-// IsLive reports whether worker w has been marked live.
-func (c *Census) IsLive(w int) bool {
-	c.tree.checkWorker(w)
-	return c.live[w].Load()
 }
 
 // LiveWorkers returns how many workers are live machine-wide.
 func (c *Census) LiveWorkers() int { return int(c.total.Load()) }
-
-// LiveIn returns how many workers are live under the level-level unit
-// with index group.
-func (c *Census) LiveIn(level, group int) int {
-	if level <= 0 || level >= c.tree.Levels() {
-		panic(fmt.Sprintf("topo: census level %d out of range (1..%d)", level, c.tree.Levels()-1))
-	}
-	return int(c.counts[level][group].Load())
-}
-
-// Quiescent reports whether the level-level unit with index group has no
-// live workers — the O(1) "is this subtree still a summary record" test.
-func (c *Census) Quiescent(level, group int) bool { return c.LiveIn(level, group) == 0 }

@@ -5,9 +5,8 @@
 // the leaves, each level up the tree would add one hop in the maximum
 // communication distance between any two processing units" (§2).
 //
-// The package also provides flat (crossbar) and Dragonfly reference
-// topologies, because §2 cites high-radix Dragonfly/Slimfly partitioning
-// as the application-side structure the machine hierarchy mirrors.
+// Flat, a single-stage crossbar, is the simplest Topology; tests use it
+// where a tree would only add detail.
 package topo
 
 import (
@@ -184,69 +183,4 @@ func (f Flat) MaxHops() int {
 		return 0
 	}
 	return 1
-}
-
-// Dragonfly is a canonical dragonfly(a, p, h): groups of a routers, p
-// workers per router, h global links per router. Minimal routing gives a
-// diameter of 3 router-to-router hops (local, global, local).
-type Dragonfly struct {
-	A int // routers per group
-	P int // workers per router
-	H int // global links per router (determines group count a*h+1)
-}
-
-// NewDragonfly returns the balanced dragonfly with the given radix
-// parameters. Group count is a*h+1 per the canonical construction.
-func NewDragonfly(a, p, h int) Dragonfly {
-	if a <= 0 || p <= 0 || h <= 0 {
-		panic("topo: dragonfly parameters must be positive")
-	}
-	return Dragonfly{A: a, P: p, H: h}
-}
-
-// Groups returns the number of dragonfly groups.
-func (d Dragonfly) Groups() int { return d.A*d.H + 1 }
-
-// Name implements Topology.
-func (d Dragonfly) Name() string { return fmt.Sprintf("dragonfly[a=%d,p=%d,h=%d]", d.A, d.P, d.H) }
-
-// NumWorkers implements Topology.
-func (d Dragonfly) NumWorkers() int { return d.Groups() * d.A * d.P }
-
-// routerOf returns (group, router) of a worker.
-func (d Dragonfly) routerOf(w int) (group, router int) {
-	r := w / d.P
-	return r / d.A, r % d.A
-}
-
-// HopDistance implements Topology: 0 same worker, 1 same router, 2 same
-// group, 4 otherwise (local + global + local router hops plus injection).
-func (d Dragonfly) HopDistance(a, b int) int {
-	if a == b {
-		return 0
-	}
-	ga, ra := d.routerOf(a)
-	gb, rb := d.routerOf(b)
-	switch {
-	case ga == gb && ra == rb:
-		return 1
-	case ga == gb:
-		return 2
-	default:
-		return 4
-	}
-}
-
-// MaxHops implements Topology.
-func (d Dragonfly) MaxHops() int {
-	if d.Groups() > 1 {
-		return 4
-	}
-	if d.A > 1 {
-		return 2
-	}
-	if d.P > 1 {
-		return 1
-	}
-	return 0
 }

@@ -90,9 +90,6 @@ type Span struct {
 	Arg int64
 }
 
-// Dur returns the span length in picoseconds.
-func (s Span) Dur() int64 { return s.End - s.Start }
-
 // Tracer records spans for one simulated machine. A nil *Tracer is a
 // valid, disabled tracer: all methods are no-ops.
 type Tracer struct {
@@ -130,9 +127,6 @@ func NewTracer(cap int) *Tracer {
 	return &Tracer{Cap: cap, procs: map[int]string{}, threads: map[int]map[int]string{}}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Add records one span. It is safe and allocation-free on a nil tracer.
 func (t *Tracer) Add(s Span) {
 	if t == nil {
@@ -145,14 +139,6 @@ func (t *Tracer) Add(s Span) {
 	t.spans = append(t.spans, s)
 }
 
-// Instant records a zero-duration event.
-func (t *Tracer) Instant(atPs int64, cat, name string, pid, tid int) {
-	if t == nil {
-		return
-	}
-	t.Add(Span{Name: name, Cat: cat, Start: atPs, End: atPs, PID: pid, TID: tid})
-}
-
 // AddCounter records one counter-track sample. Safe on a nil tracer.
 // Counter samples are not bounded by Cap: they come from the profiler's
 // utilization and sampling passes, which emit O(transitions) points.
@@ -161,15 +147,6 @@ func (t *Tracer) AddCounter(atPs int64, pid int, name string, v float64) {
 		return
 	}
 	t.counters = append(t.counters, CounterSample{Name: name, PID: pid, At: atPs, Value: v})
-}
-
-// CounterSamples returns the recorded counter-track samples in
-// recording order.
-func (t *Tracer) CounterSamples() []CounterSample {
-	if t == nil {
-		return nil
-	}
-	return t.counters
 }
 
 // Len returns the retained span count.
@@ -404,37 +381,4 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
-}
-
-// Breakdown renders a latency table (count and duration quantiles in
-// microseconds) for each span category present, sorted by category —
-// the per-stage "where does task time go" summary of Figs. 2–5.
-func (t *Tracer) Breakdown() *Table {
-	tbl := NewTable("latency breakdown (us)", "stage", "n", "p50", "p90", "p99", "max")
-	if t == nil {
-		return tbl
-	}
-	byCat := map[string][]float64{}
-	for i := range t.spans {
-		s := &t.spans[i]
-		if s.End <= s.Start {
-			continue
-		}
-		byCat[s.Cat] = append(byCat[s.Cat], float64(s.End-s.Start)/1e6)
-	}
-	cats := make([]string, 0, len(byCat))
-	for c := range byCat {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	for _, c := range cats {
-		ds := byCat[c]
-		sort.Float64s(ds)
-		q := func(p float64) float64 {
-			i := int(p * float64(len(ds)-1))
-			return ds[i]
-		}
-		tbl.AddRow(c, len(ds), q(0.50), q(0.90), q(0.99), ds[len(ds)-1])
-	}
-	return tbl
 }

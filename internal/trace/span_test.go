@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -31,7 +30,8 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 	tr.SetThreadName(WorkerPID(0), TIDCPU, "cpu")
 	tr.Add(Span{Name: "matmul", Cat: CatCompute, Start: 2_000_000, End: 5_000_000,
 		PID: WorkerPID(0), TID: TIDCPU, Task: 7, Detail: "cpu", Arg: 3})
-	tr.Instant(1_000_000, CatDispatch, "dispatch", WorkerPID(0), TIDCPU)
+	tr.Add(Span{Name: "dispatch", Cat: CatDispatch, Start: 1_000_000, End: 1_000_000,
+		PID: WorkerPID(0), TID: TIDCPU})
 	tr.Add(Span{Name: `quote"back\slash`, Cat: CatDMA, Start: 0, End: 500_000,
 		PID: WorkerPID(0), TID: TIDDMA})
 
@@ -118,14 +118,10 @@ func TestTracerCapDrops(t *testing.T) {
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Add(Span{Name: "x"})
-	tr.Instant(0, CatSteal, "probe", 0, 0)
 	tr.SetProcessName(0, "p")
 	tr.SetThreadName(0, 0, "t")
-	if tr.Enabled() || tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
-		t.Fatal("nil tracer must look empty and disabled")
-	}
-	if got := tr.Breakdown(); len(got.Rows) != 0 {
-		t.Fatalf("nil tracer breakdown has %d rows", len(got.Rows))
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
+		t.Fatal("nil tracer must look empty")
 	}
 }
 
@@ -136,7 +132,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Add(Span{Name: "matmul", Cat: CatCompute, Start: 1, End: 2,
 			PID: 1, TID: 0, Task: 42, Detail: "cpu", Arg: 3})
-		tr.Instant(5, CatDispatch, "dispatch", 1, 0)
+		tr.AddCounter(5, 1, "depth", 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocates %.1f per op; want 0", allocs)
@@ -158,20 +154,5 @@ func BenchmarkEnabledTracerAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Add(Span{Name: "matmul", Cat: CatCompute, Start: int64(i), End: int64(i + 1),
 			PID: 1, TID: 0, Task: uint64(i), Detail: "cpu"})
-	}
-}
-
-func TestBreakdown(t *testing.T) {
-	tr := NewTracer(0)
-	for i := 1; i <= 10; i++ {
-		tr.Add(Span{Name: "q", Cat: CatQueue, Start: 0, End: int64(i) * 1_000_000})
-	}
-	tr.Instant(0, CatSteal, "probe", 0, 0) // instants excluded from quantiles
-	tbl := tr.Breakdown()
-	if len(tbl.Rows) != 1 || tbl.Rows[0][0] != CatQueue {
-		t.Fatalf("breakdown rows = %v", tbl.Rows)
-	}
-	if !strings.Contains(tbl.String(), "queue") {
-		t.Fatalf("rendered breakdown missing category:\n%s", tbl)
 	}
 }

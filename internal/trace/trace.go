@@ -216,9 +216,6 @@ func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
 // Count returns the total number of samples.
 func (h *Histogram) Count() uint64 { return h.stat.Count() }
 
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 { return h.stat.Mean() }
-
 // Quantile returns an approximate q-quantile (q in [0,1]) from bin
 // counts, clamped to the observed [min, max] so a saturated edge bin
 // cannot report a value no sample ever reached.
@@ -266,22 +263,6 @@ func (h *Histogram) BucketBound(i int) float64 {
 	width := (h.hi - h.lo) / float64(len(h.buckets))
 	return h.lo + float64(i+1)*width
 }
-
-// Series is an append-only (x, y) time/parameter series.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds one point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
 
 // Table is a simple column-oriented results table rendered as aligned text
 // or CSV. It is the output format of every experiment row generator.
@@ -553,27 +534,9 @@ func (r *Registry) CounterNames() []string {
 	return sortedKeys(r.counters)
 }
 
-// StatNames returns all stat keys, sorted.
-func (r *Registry) StatNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sortedKeys(r.stats)
-}
-
 // HistogramNames returns all histogram keys, sorted.
 func (r *Registry) HistogramNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return sortedKeys(r.hists)
-}
-
-// Dump renders all counters as a table, sorted by name.
-func (r *Registry) Dump() *Table {
-	t := NewTable("counters", "name", "value")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, n := range sortedKeys(r.counters) {
-		t.AddRow(n, r.counters[n].Value)
-	}
-	return t
 }

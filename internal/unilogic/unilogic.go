@@ -90,24 +90,6 @@ type ManagerProvider interface {
 	FreeRegions(w int) int
 }
 
-// staticManagers adapts an eager per-Worker manager slice to
-// ManagerProvider.
-type staticManagers []*accel.Manager
-
-func (p staticManagers) NumWorkers() int                  { return len(p) }
-func (p staticManagers) Manager(w int) *accel.Manager     { return p[w] }
-func (p staticManagers) PeekManager(w int) *accel.Manager { return p[w] }
-func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
-
-// NewDomain creates a domain over per-Worker managers; mgrs[i] must be
-// Worker i's manager.
-func NewDomain(t topo.Topology, mgrs []*accel.Manager, eng *sim.Engine) *Domain {
-	if len(mgrs) != t.NumWorkers() {
-		panic(fmt.Sprintf("unilogic: %d managers for %d workers", len(mgrs), t.NumWorkers()))
-	}
-	return NewDomainFrom(t, staticManagers(mgrs), eng)
-}
-
 // NewDomainFrom creates a domain over a manager provider, which may
 // materialize managers lazily.
 func NewDomainFrom(t topo.Topology, prov ManagerProvider, eng *sim.Engine) *Domain {
@@ -128,9 +110,6 @@ func (d *Domain) Manager(w int) *accel.Manager { return d.prov.Manager(w) }
 // FreeRegions reports worker w's free fabric regions without forcing an
 // idle worker into existence.
 func (d *Domain) FreeRegions(w int) int { return d.prov.FreeRegions(w) }
-
-// NumWorkers returns the domain's Worker count.
-func (d *Domain) NumWorkers() int { return d.prov.NumWorkers() }
 
 // Deploy loads impl on worker w's fabric and registers it under the
 // kernel's name.
@@ -178,30 +157,6 @@ func (d *Domain) Deregister(in *accel.Instance) bool {
 		}
 	}
 	return false
-}
-
-// DeregisterWorker drops every instance hosted on worker w (the Worker
-// died) and returns how many were removed, walking kernels in sorted
-// order for determinism.
-func (d *Domain) DeregisterWorker(w int) int {
-	n := 0
-	for _, name := range d.Kernels() {
-		ins := d.instances[name]
-		kept := ins[:0]
-		for _, in := range ins {
-			if in.Worker == w {
-				n++
-			} else {
-				kept = append(kept, in)
-			}
-		}
-		if len(kept) == 0 {
-			delete(d.instances, name)
-		} else {
-			d.instances[name] = kept
-		}
-	}
-	return n
 }
 
 // Calls returns total and remote (caller != hosting Worker) call counts.
@@ -289,18 +244,6 @@ func (d *Domain) Call(caller int, kernel string, spec accel.CallSpec, done func(
 			done(err)
 		}
 	})
-}
-
-// Utilization returns, per registered instance (sorted by key), the
-// completed call count — the load-spreading evidence of E6.
-func (d *Domain) Utilization() map[string]uint64 {
-	out := map[string]uint64{}
-	for _, ins := range d.instances {
-		for _, in := range ins {
-			out[key(in)] = in.Calls()
-		}
-	}
-	return out
 }
 
 // Balance returns max/mean completed calls across instances of a kernel

@@ -22,6 +22,15 @@ kernel scale(global float* A, int N) {
     }
 }`
 
+// managers is an eager ManagerProvider over a slice, standing in for a
+// machine's lazily materialized managers.
+type managers []*accel.Manager
+
+func (p managers) NumWorkers() int                  { return len(p) }
+func (p managers) Manager(w int) *accel.Manager     { return p[w] }
+func (p managers) PeekManager(w int) *accel.Manager { return p[w] }
+func (p managers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
+
 type rig struct {
 	eng    *sim.Engine
 	space  *unimem.Space
@@ -40,7 +49,7 @@ func newRig(t testing.TB, workers int) *rig {
 		fab := fabric.New(eng, fabric.DefaultConfig(), meter)
 		mgrs = append(mgrs, accel.NewManager(w, fab, space, smmu.New(smmu.DefaultConfig()), meter))
 	}
-	return &rig{eng: eng, space: space, domain: NewDomain(tr, mgrs, eng)}
+	return &rig{eng: eng, space: space, domain: NewDomainFrom(tr, managers(mgrs), eng)}
 }
 
 func deploy(t testing.TB, r *rig, w int) *accel.Instance {
@@ -139,9 +148,10 @@ func TestLeastLoadedRouting(t *testing.T) {
 		r.domain.Call(3, "scale", spec(r, addr), nil)
 	}
 	r.eng.RunUntilIdle()
-	util := r.domain.Utilization()
-	if util["scale@0"] == 0 || util["scale@1"] == 0 {
-		t.Errorf("load not spread: %v", util)
+	for _, in := range r.domain.Instances("scale") {
+		if in.Calls() == 0 {
+			t.Errorf("load not spread: instance on worker %d took no calls", in.Worker)
+		}
 	}
 	if b := r.domain.Balance("scale"); b > 1.5 {
 		t.Errorf("balance %v too skewed", b)
@@ -158,7 +168,7 @@ func TestNearestPreferredWhenIdle(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		mgrs = append(mgrs, accel.NewManager(w, fabric.New(eng, fabric.DefaultConfig(), meter), space, smmu.New(smmu.DefaultConfig()), meter))
 	}
-	d := NewDomain(tr, mgrs, eng)
+	d := NewDomainFrom(tr, managers(mgrs), eng)
 	r := &rig{eng: eng, space: space, domain: d}
 	inNear := deploy(t, r, 1) // same CN as caller 0
 	deploy(t, r, 3)           // remote CN
@@ -224,7 +234,7 @@ func TestManagerMismatchPanics(t *testing.T) {
 			t.Error("manager count mismatch did not panic")
 		}
 	}()
-	NewDomain(tr, nil, eng)
+	NewDomainFrom(tr, managers(nil), eng)
 }
 
 func TestPolicyString(t *testing.T) {
@@ -244,7 +254,7 @@ func TestSharedCNScopesToComputeNode(t *testing.T) {
 		mgrs = append(mgrs, accel.NewManager(w, fabric.New(eng, fabric.DefaultConfig(), meter), space,
 			smmu.New(smmu.DefaultConfig()), meter))
 	}
-	d := NewDomain(tr, mgrs, eng)
+	d := NewDomainFrom(tr, managers(mgrs), eng)
 	d.Policy = SharedCN
 	r := &rig{eng: eng, space: space, domain: d}
 	deploy(t, r, 0) // instance in CN0

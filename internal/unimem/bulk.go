@@ -7,8 +7,8 @@ import (
 	"ecoscale/internal/trace"
 )
 
-// The line pipeline. Every timed access — a single Read, Write or
-// WriteBack, and each line of a stream — is a pooled lineOp carried
+// The line pipeline. Every timed access — a single Read or Write, and
+// each line of a stream — is a pooled lineOp carried
 // through the memory system by static functions (sim AfterCall, noc
 // SendCall, mem DRAM AccessCall), so a warmed space moves lines without
 // allocating. Ops live on per-Worker free lists: an op returns to the
@@ -24,7 +24,7 @@ type lineOp struct {
 	owner int
 	addr  uint64
 	size  int
-	write bool   // store timing (Write, WriteBack and stream stores)
+	write bool   // store timing (Write and stream stores)
 	data  []byte // Write's bytes; nil for timing-only accesses
 
 	// The remote leg: DRAM bytes at the owner, then a response of
@@ -33,7 +33,7 @@ type lineOp struct {
 	kind                 noc.Kind
 
 	rdone func([]byte) // Read's callback
-	done  func()       // Write's and WriteBack's callback
+	done  func()       // Write's callback
 	next  *lineOp
 }
 
@@ -327,8 +327,11 @@ func (s *Space) StreamWrite(node int, addr uint64, data []byte, window int, done
 }
 
 // StreamWriteback is StreamWrite for an identity write-back: the same
-// pipelined store traffic, but the bytes are never read or copied — see
-// Space.WriteBack for why sharded machines require this.
+// pipelined store traffic, but the bytes are never read or copied.
+// Accelerators stream their results out as an identity write-back of
+// the page-final data; on a sharded machine those bytes may only be read
+// at the owner's LP, so the traffic, cache effects and counters are
+// modeled here while the data plane stays put.
 func (s *Space) StreamWriteback(node int, addr uint64, size, window int, done func()) {
 	s.stream(node, addr, size, window, true, nil, done)
 }

@@ -181,7 +181,7 @@ func (sc streamScript) run(t *testing.T, shards int, old bool) streamOutcome {
 			case old:
 				s.oldWriteBack(st.node, addr, st.size, done)
 			default:
-				s.WriteBack(st.node, addr, st.size, done)
+				s.store(st.node, addr, st.size, nil, done)
 			}
 		})
 	}

@@ -76,22 +76,12 @@ func (p *page) setCacher(w int) {
 }
 
 type workerMem struct {
-	cache  *mem.Cache
-	dram   *mem.DRAM
-	atomic *sim.Resource
-	mbox   *sim.FIFO[Message]
+	cache *mem.Cache
+	dram  *mem.DRAM
 
 	// Free lists of the line pipeline (see bulk.go).
 	lineFree   *lineOp
 	streamFree *streamOp
-}
-
-// Message is a small interprocessor message delivered to a Worker's
-// mailbox, modelling the progressive-address-translation load/store
-// communication path the paper cites [12].
-type Message struct {
-	From    int
-	Payload uint64
 }
 
 // Space is one UNIMEM global address space (one PGAS domain in ECOSCALE
@@ -113,7 +103,7 @@ type Space struct {
 }
 
 // NewSpace creates a space over the network's workers. Per-worker
-// memory-side state (cache, DRAM channel, atomic unit, mailbox) is a
+// memory-side state (cache, DRAM channel) is a
 // flyweight: the slice holds nil until the first access touching that
 // worker materializes it, so a 100k-worker space costs one pointer per
 // idle worker.
@@ -154,10 +144,8 @@ func (s *Space) wm(w int) *workerMem {
 	if m == nil {
 		eng := s.engFor(w)
 		m = &workerMem{
-			cache:  mem.NewCache(s.cfg.CacheCfg),
-			dram:   mem.NewDRAM(eng, s.cfg.DRAMCfg),
-			atomic: sim.NewResource(eng, fmt.Sprintf("atomic-%d", w), 1),
-			mbox:   sim.NewFIFO[Message](),
+			cache: mem.NewCache(s.cfg.CacheCfg),
+			dram:  mem.NewDRAM(eng, s.cfg.DRAMCfg),
 		}
 		s.workers[w] = m
 	}
@@ -194,8 +182,6 @@ const (
 	ctrLocalUncached
 	ctrRemoteWrites
 	ctrWritebacks
-	ctrAtomics
-	ctrNotifies
 	ctrMigrations
 	ctrEvacuations
 	ctrReplications
@@ -213,8 +199,6 @@ var spaceCtrNames = [numSpaceCtrs]string{
 	ctrLocalUncached:        "unimem.local_uncached",
 	ctrRemoteWrites:         "unimem.remote_writes",
 	ctrWritebacks:           "unimem.writebacks",
-	ctrAtomics:              "unimem.atomics",
-	ctrNotifies:             "unimem.notifies",
 	ctrMigrations:           "unimem.migrations",
 	ctrEvacuations:          "unimem.evacuations",
 	ctrReplications:         "unimem.replications",
@@ -387,22 +371,13 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 }
 
 // Write performs a store of data at addr by worker node: the bytes are
-// copied into the page, then the store takes WriteBack's timing. done
+// copied into the page, then the store takes the line path's store
+// timing, the same as an identity write-back's. done
 // runs when the store is globally performed (at the owner, or dirty in
 // the single legal cache).
 func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 	s.checkSpan(addr, len(data))
 	s.store(node, addr, len(data), data, done)
-}
-
-// WriteBack performs the timed store path of Write for size bytes at
-// addr without touching the bytes. Accelerators stream their results out
-// as an identity write-back of the page-final data; on a sharded machine
-// those bytes may only be read at the owner's LP, so the traffic, cache
-// effects and counters are modeled here while the data plane stays put.
-func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
-	s.checkSpan(addr, size)
-	s.store(node, addr, size, nil, done)
 }
 
 func (s *Space) store(node int, addr uint64, size int, data []byte, done func()) {
@@ -456,64 +431,6 @@ func (s *Space) PokeWord(addr uint64, v uint64) {
 	binary.LittleEndian.PutUint64(b[:], v)
 	s.Poke(addr, b[:])
 }
-
-// AtomicRMW performs an atomic read-modify-write at the page owner: the
-// operation travels to the owner, executes there under the owner's
-// atomic unit (serializing concurrent atomics), and the old value
-// returns. This is the remote-synchronization path that makes small
-// load/store messages preferable to DMA (§4.1).
-func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done func(old uint64)) {
-	s.checkSpan(addr, 8)
-	p := s.pageOf(addr)
-	owner := p.Owner()
-	// exec runs at the owner's LP in every mode: the word is read,
-	// transformed and written under the owner's atomic unit, so the data
-	// plane is already owner-side and needs no sharded variant.
-	exec := func() {
-		ow := s.wm(owner)
-		ow.atomic.Acquire(func() {
-			ow.dram.Access(8, func() {
-				old := s.PeekWord(addr)
-				s.PokeWord(addr, f(old))
-				ow.atomic.Release()
-				if node == owner {
-					if done != nil {
-						done(old)
-					}
-					return
-				}
-				s.netFor(owner).Send(owner, node, s.cfg.CtrlBytes, noc.Sync, func() {
-					if done != nil {
-						done(old)
-					}
-				})
-			})
-		})
-	}
-	s.countAt(node, ctrAtomics)
-	if node == owner {
-		exec()
-		return
-	}
-	s.netFor(node).Send(node, owner, s.cfg.CtrlBytes, noc.Sync, exec)
-}
-
-// Notify sends a small interprocessor message to dst's mailbox (the
-// "messages to synchronize remote threads" of §4.1), raising the
-// mailbox as an interrupt-class transaction.
-func (s *Space) Notify(src, dst int, payload uint64, done func()) {
-	s.countAt(src, ctrNotifies)
-	s.netFor(src).Send(src, dst, s.cfg.CtrlBytes, noc.Interrupt, func() {
-		s.wm(dst).mbox.Push(Message{From: src, Payload: payload})
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// Mailbox returns worker w's message queue; consumers use Pop to park
-// until a message arrives.
-func (s *Space) Mailbox(w int) *sim.FIFO[Message] { return s.wm(w).mbox }
 
 // MigratePage moves the page containing addr to a new owner: the old
 // cacher is flushed, the page bytes stream over as a DMA transfer, and

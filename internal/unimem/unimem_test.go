@@ -191,48 +191,6 @@ func TestPeekPoke(t *testing.T) {
 	}
 }
 
-func TestAtomicRMW(t *testing.T) {
-	eng, s, _ := newSpace(t, 4)
-	addr := s.Alloc(0, 64)
-	// 3 workers increment concurrently; result must be exact.
-	total := 30
-	wg := 0
-	for i := 0; i < total; i++ {
-		node := i % 4
-		s.AtomicRMW(node, addr, func(old uint64) uint64 { return old + 1 }, func(uint64) { wg++ })
-	}
-	eng.RunUntilIdle()
-	if wg != total {
-		t.Fatalf("%d/%d atomics completed", wg, total)
-	}
-	if got := s.PeekWord(addr); got != uint64(total) {
-		t.Errorf("atomic count = %d, want %d — lost updates", got, total)
-	}
-}
-
-func TestAtomicReturnsOld(t *testing.T) {
-	eng, s, _ := newSpace(t, 2)
-	addr := s.Alloc(1, 64)
-	s.PokeWord(addr, 5)
-	var old uint64
-	s.AtomicRMW(0, addr, func(v uint64) uint64 { return v * 2 }, func(o uint64) { old = o })
-	eng.RunUntilIdle()
-	if old != 5 || s.PeekWord(addr) != 10 {
-		t.Errorf("old=%d val=%d, want 5/10", old, s.PeekWord(addr))
-	}
-}
-
-func TestNotifyMailbox(t *testing.T) {
-	eng, s, _ := newSpace(t, 4)
-	var got Message
-	s.Mailbox(3).Pop(func(m Message) { got = m })
-	s.Notify(1, 3, 0xabc, nil)
-	eng.RunUntilIdle()
-	if got.From != 1 || got.Payload != 0xabc {
-		t.Errorf("mailbox got %+v", got)
-	}
-}
-
 func TestMigratePage(t *testing.T) {
 	eng, s, _ := newSpace(t, 4)
 	addr := s.Alloc(0, 64)
