@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"ecoscale/internal/accel"
 	"ecoscale/internal/energy"
@@ -217,7 +218,6 @@ type Machine struct {
 	shells    []*nodeShell
 	wpc       int // workers per compute node (FanOut[0])
 	census    *topo.Census
-	smmuTmpl  *smmu.SMMU // shared identity-map page tables (COW)
 	defPolicy rts.Policy // applied to schedulers at materialization
 	// faults is the armed-faults extension (see fault.go); nil until
 	// InjectFaults or a direct fault call, so a healthy machine carries
@@ -311,9 +311,6 @@ func New(cfg Config) *Machine {
 			c.Reg = m.regs[shard]
 			m.clusters[cn] = c
 		}
-		// Workers materialize concurrently on shard goroutines, so the
-		// SMMU identity-map template they clone must exist up front.
-		m.identityTemplate()
 	} else {
 		m.Domain = unilogic.NewDomainFrom(m.Tree, machineManagers{m}, m.Eng)
 		m.Domain.Policy = cfg.Sharing
@@ -594,10 +591,11 @@ func (m *Machine) Manager(w int) *accel.Manager {
 		fab.TracePID = trace.WorkerPID(w)
 		fab.Reg = m.regOf(w)
 		mmu := smmu.New(m.Cfg.SMMU)
-		// Every Worker's identity map is the same page set, so all
-		// Workers share one canonical table copy-on-write; only the
-		// 32 stream bindings are private per Worker.
-		mmu.ShareTablesFrom(m.identityTemplate())
+		// Every Worker's identity map is the same page set, so the
+		// Workers of every machine with this geometry share one
+		// canonical table copy-on-write; only the 32 stream bindings
+		// are private per Worker.
+		mmu.ShareTablesFrom(identityTemplate(m.Cfg.SMMU, m.Cfg.MappedBytes))
 		for sid := w * 1000; sid < w*1000+32; sid++ {
 			mmu.BindContext(sid, 1, 1)
 		}
@@ -632,22 +630,32 @@ func (m *Machine) peekManager(w int) *accel.Manager {
 	return nil
 }
 
-// identityTemplate lazily builds the canonical identity-mapped page
-// tables shared by every Worker's SMMU: the first 32 accelerator streams
-// get user-level access to the low MappedBytes of the global space
-// (VA == PA) via stage-1 pages owned by ASID 1 and a stage-2 identity
-// under VMID 1.
-func (m *Machine) identityTemplate() *smmu.SMMU {
-	if m.smmuTmpl == nil {
-		tmpl := smmu.New(m.Cfg.SMMU)
-		pages := uint64(m.Cfg.MappedBytes) / tmpl.PageSize()
-		for p := uint64(0); p < pages; p++ {
-			tmpl.MapStage1(1, p*tmpl.PageSize(), p*tmpl.PageSize(), smmu.PermRW)
-			tmpl.MapStage2(1, p*tmpl.PageSize(), p*tmpl.PageSize(), smmu.PermRW)
-		}
-		m.smmuTmpl = tmpl
+// templateKey is the geometry an identity template depends on.
+type templateKey struct{ pageBits, mappedBytes int }
+
+// templates interns identity templates by geometry. Nothing maps a page
+// in a template once it is stored, so machines on any goroutine read
+// its tables directly and a Worker's first private mapping copies them.
+var templates sync.Map // templateKey → *smmu.SMMU
+
+// identityTemplate returns the canonical identity-mapped page tables
+// shared by every Worker's SMMU of that geometry: the first 32
+// accelerator streams get user-level access to the low mappedBytes of
+// the global space (VA == PA) via stage-1 pages owned by ASID 1 and a
+// stage-2 identity under VMID 1.
+func identityTemplate(cfg smmu.Config, mappedBytes int) *smmu.SMMU {
+	key := templateKey{cfg.PageBits, mappedBytes}
+	if t, ok := templates.Load(key); ok {
+		return t.(*smmu.SMMU)
 	}
-	return m.smmuTmpl
+	tmpl := smmu.New(cfg)
+	pages := uint64(mappedBytes) / tmpl.PageSize()
+	for p := uint64(0); p < pages; p++ {
+		tmpl.MapStage1(1, p*tmpl.PageSize(), p*tmpl.PageSize(), smmu.PermRW)
+		tmpl.MapStage2(1, p*tmpl.PageSize(), p*tmpl.PageSize(), smmu.PermRW)
+	}
+	t, _ := templates.LoadOrStore(key, tmpl)
+	return t.(*smmu.SMMU)
 }
 
 // EachSched calls fn for every materialized scheduler in Worker order.

@@ -120,8 +120,6 @@ func scenE2() runner.Scenario {
 							}
 						} else {
 							eng := sim.NewEngine(1)
-							net := noc.NewNetwork(eng, tree, noc.DefaultConfig(tree.MaxHops()), nil, nil)
-							_ = net
 							for w := 0; w < workers; w++ {
 								cores := sim.NewResource(eng, fmt.Sprintf("c%d", w), 4)
 								for t := 0; t < perWorker; t++ {

@@ -6,6 +6,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ecoscale"
 	"ecoscale/internal/accel"
@@ -25,6 +26,32 @@ type e10Result struct {
 	CPU, HW uint64
 }
 
+// e10Call is one call of E10's stream: its size, scalar bindings and
+// the op mix of its software execution.
+type e10Call struct {
+	n        int
+	bindings map[string]float64
+	stats    hls.RunStats
+}
+
+// e10Stream synthesises E10's inputs in size order from one seeded RNG
+// and runs each call in software for its op mix. Only the bindings and
+// the op mix reach the table; the inputs themselves are dropped.
+func e10Stream(w ecoscale.Workload, sizes []int) ([]e10Call, error) {
+	kernel := w.Kernel()
+	rng := sim.NewRNG(11)
+	calls := make([]e10Call, len(sizes))
+	for i, n := range sizes {
+		args, bindings := w.Make(n, rng)
+		stats, err := hls.Run(kernel, args)
+		if err != nil {
+			return nil, fmt.Errorf("E10: call %d (n=%d): %w", i, n, err)
+		}
+		calls[i] = e10Call{n: n, bindings: bindings, stats: stats}
+	}
+	return calls, nil
+}
+
 // scenE10 compares the dispatch policies of §4.2 on a mixed-size
 // CART-split stream: static CPU, static HW, the history-trained model,
 // and the perfect-knowledge oracle.
@@ -40,12 +67,23 @@ func scenE10() runner.Scenario {
 			if err != nil {
 				return nil, err
 			}
+			// Every policy sees the same call stream, so the first point
+			// to run builds it and the others read it: one stream per
+			// run of the scenario, none when every point is cached.
+			var (
+				once     sync.Once
+				calls    []e10Call
+				errCalls error
+			)
 			var pts []runner.Point
 			for _, policy := range []rts.Policy{rts.PolicyCPU{}, rts.PolicyHW{}, rts.PolicyModel{}, rts.PolicyOracle{}} {
 				pts = append(pts, runner.Point{
 					Label: policy.Name(),
 					Run: func(context.Context) (runner.Row, error) {
-						kernel := w.Kernel()
+						once.Do(func() { calls, errCalls = e10Stream(w, sizes) })
+						if errCalls != nil {
+							return runner.Row{}, errCalls
+						}
 						m := ecoscale.New(ecoscale.DefaultConfig(4, 1))
 						if _, err := m.DeployKernel(w.Source,
 							ecoscale.Directives{Unroll: 16, MemPorts: 16, Share: 1, Pipeline: true}, 0); err != nil {
@@ -53,7 +91,6 @@ func scenE10() runner.Scenario {
 						}
 						s := m.Sched(0)
 						s.Policy = policy
-						rng := sim.NewRNG(11)
 						x := m.Space.Alloc(0, 65536*8)
 						y := m.Space.Alloc(0, 65536*8)
 						out := m.Space.Alloc(0, 4096)
@@ -61,21 +98,16 @@ func scenE10() runner.Scenario {
 						idx := 0
 						var submit func()
 						submit = func() {
-							if idx == len(sizes) {
+							if idx == len(calls) {
 								return
 							}
-							n := sizes[idx]
+							c := calls[idx]
 							idx++
-							args, bindings := w.Make(n, rng)
-							stats, err := hls.Run(kernel, args)
-							if err != nil {
-								return
-							}
 							s.Submit(&rts.Task{
-								Kernel: "cartsplit", Bindings: bindings,
-								Reads:   []accel.Span{{Addr: x, Size: n * 8}, {Addr: y, Size: n * 8}},
+								Kernel: "cartsplit", Bindings: c.bindings,
+								Reads:   []accel.Span{{Addr: x, Size: c.n * 8}, {Addr: y, Size: c.n * 8}},
 								Writes:  []accel.Span{{Addr: out, Size: 24}},
-								SWStats: stats,
+								SWStats: c.stats,
 							}, func(rts.Device, error) { submit() })
 						}
 						submit()

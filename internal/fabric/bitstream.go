@@ -85,13 +85,6 @@ func DecompressRLE(data []byte) []byte {
 	return out
 }
 
-// CompressionRatio returns original/compressed size for a placement's
-// bitstream at the given density.
-func (f *Fabric) CompressionRatio(p *Placement, density float64) float64 {
-	bs := f.BitstreamFor(p, density)
-	return float64(len(bs)) / float64(len(CompressRLE(bs)))
-}
-
 // LoadOptions controls a partial reconfiguration.
 type LoadOptions struct {
 	// Compressed streams the RLE-compressed bitstream through the port
@@ -107,13 +100,8 @@ type LoadOptions struct {
 // done fires when the region is active. Loads serialize on the port —
 // the middleware contention that E6/E9 observe under churn.
 func (f *Fabric) Load(p *Placement, opt LoadOptions, done func()) {
-	bs := f.BitstreamFor(p, opt.Density)
-	wire := bs
-	if opt.Compressed {
-		wire = CompressRLE(bs)
-	}
-	bytes := len(wire)
-	dur := sim.Time(float64(bytes) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
+	bytes := f.wireBytes(p, opt)
+	dur := f.portTime(bytes)
 	start := f.eng.Now()
 	f.ensurePort().Use(dur, func() {
 		f.loads++
@@ -140,10 +128,20 @@ func (f *Fabric) Load(p *Placement, opt LoadOptions, done func()) {
 // LoadLatency returns the uncontended reconfiguration time for a
 // placement under the given options.
 func (f *Fabric) LoadLatency(p *Placement, opt LoadOptions) sim.Time {
-	bs := f.BitstreamFor(p, opt.Density)
-	n := len(bs)
+	return f.portTime(f.wireBytes(p, opt))
+}
+
+// wireBytes is the size of the configuration data a load streams through
+// the port. An uncompressed bitstream is Area() * BytesPerRegion bytes
+// whatever its content, so only a compressed load synthesises it.
+func (f *Fabric) wireBytes(p *Placement, opt LoadOptions) int {
 	if opt.Compressed {
-		n = len(CompressRLE(bs))
+		return len(CompressRLE(f.BitstreamFor(p, opt.Density)))
 	}
+	return p.Area() * f.cfg.BytesPerRegion
+}
+
+// portTime is how long n bytes occupy the configuration port.
+func (f *Fabric) portTime(n int) sim.Time {
 	return sim.Time(float64(n) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
 }

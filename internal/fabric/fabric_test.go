@@ -3,12 +3,14 @@ package fabric
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"ecoscale/internal/energy"
 	"ecoscale/internal/sim"
+	"ecoscale/internal/trace"
 )
 
 func newFabric(t testing.TB) (*sim.Engine, *Fabric, *energy.Meter) {
@@ -380,13 +382,63 @@ func TestBitstreamDeterministicAndSized(t *testing.T) {
 func TestBitstreamCompresses(t *testing.T) {
 	_, f, _ := newFabric(t)
 	p, _ := f.Place(bigMod("a", 4))
-	ratio := f.CompressionRatio(p, 0.25)
-	if ratio < 1.5 {
-		t.Errorf("compression ratio %.2f too low for sparse config data", ratio)
+	ratio := func(density float64) float64 {
+		bs := f.BitstreamFor(p, density)
+		return float64(len(bs)) / float64(len(CompressRLE(bs)))
 	}
-	dense := f.CompressionRatio(p, 1.0)
-	if dense >= ratio {
-		t.Errorf("dense bitstream (%.2f) should compress worse than sparse (%.2f)", dense, ratio)
+	sparse := ratio(0.25)
+	if sparse < 1.5 {
+		t.Errorf("compression ratio %.2f too low for sparse config data", sparse)
+	}
+	if dense := ratio(1.0); dense >= sparse {
+		t.Errorf("dense bitstream (%.2f) should compress worse than sparse (%.2f)", dense, sparse)
+	}
+}
+
+// TestWireBytesMatchesBitstream pins the load path's wire size to the
+// synthesised bitstream: an uncompressed load is sized without building
+// the bytes, so its size must still equal len(BitstreamFor), and a
+// compressed one len(CompressRLE(BitstreamFor)), for latency, the
+// loaded-bytes counter and the span alike.
+func TestWireBytesMatchesBitstream(t *testing.T) {
+	for _, area := range []int{1, 2, 4, 16} {
+		for _, density := range []float64{0, 0.1, 0.25, 0.5, 1, 1.5} {
+			for _, compressed := range []bool{false, true} {
+				eng, f, _ := newFabric(t)
+				f.Reg = trace.NewRegistry()
+				f.Trace = trace.NewTracer(0)
+				p, err := f.Place(bigMod("m", area))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := len(f.BitstreamFor(p, density))
+				if compressed {
+					want = len(CompressRLE(f.BitstreamFor(p, density)))
+				}
+				opt := LoadOptions{Compressed: compressed, Density: density}
+				name := fmt.Sprintf("area=%d/density=%g/compressed=%v", area, density, compressed)
+				wantLat := sim.Time(float64(want) / f.Config().PortBytesPerNs * float64(sim.Nanosecond))
+				if got := f.LoadLatency(p, opt); got != wantLat {
+					t.Errorf("%s: LoadLatency = %v, want %v (%d bytes)", name, got, wantLat, want)
+				}
+				f.Load(p, opt, nil)
+				eng.RunUntilIdle()
+				if got := f.Reg.Counter("fabric.loaded_bytes").Value; got != uint64(want) {
+					t.Errorf("%s: fabric.loaded_bytes = %d, want %d", name, got, want)
+				}
+				if spans := f.Trace.Spans(); len(spans) != 1 || spans[0].Arg != int64(want) {
+					t.Errorf("%s: load spans %+v, want one with Arg %d", name, spans, want)
+				}
+			}
+		}
+	}
+}
+
+func TestUncompressedLoadLatencyAllocatesNothing(t *testing.T) {
+	_, f, _ := newFabric(t)
+	p, _ := f.Place(bigMod("a", 4))
+	if n := testing.AllocsPerRun(100, func() { f.LoadLatency(p, LoadOptions{Density: 0.25}) }); n != 0 {
+		t.Errorf("uncompressed LoadLatency allocates %v times per call, want 0", n)
 	}
 }
 
